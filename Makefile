@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build test race race-shard vet lint docs fuzz fuzz-pool fuzz-schedule bench soak overlay-soak soak-long verify report perf perfcheck determinism pardet clean
+.PHONY: all build test race race-shard vet lint docs fuzz fuzz-pool fuzz-schedule bench soak overlay-soak soak-long verify report perf perfcheck determinism pardet examples clean
 
 all: build
 
@@ -91,12 +91,25 @@ soak-long:
 	E16_LONG=1 $(GO) test -run TestScalingLongSoak -timeout 90m ./internal/workload
 	$(GO) run ./cmd/benchreport -e e16 -long
 
+# examples builds every example and runs each once under a 60 s bound
+# (the slowest takes about a second), so a change that breaks an
+# example's hand-written wiring fails here instead of on a reader's
+# machine. Only the exit status gates; stdout is discarded.
+examples:
+	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin/" ./examples/...; \
+	for e in $$(ls "$$bin"); do \
+		echo "examples: $$e"; \
+		timeout 60 "$$bin/$$e" >/dev/null; \
+	done
+
 # verify is the PR gate: static checks, the full suite under the race
 # detector, short fuzz passes over the bit-stuffing spec, the pooled
 # parity target and the fault-schedule differential oracle, one pass
-# of the experiment benchmarks, the parallel-determinism matrix and
-# the perf gate against the checked-in baseline.
-verify: vet lint docs race race-shard fuzz fuzz-pool fuzz-schedule bench pardet perfcheck
+# of the experiment benchmarks, one run of every example, the
+# parallel-determinism matrix and the perf gate against the checked-in
+# baseline.
+verify: vet lint docs race race-shard fuzz fuzz-pool fuzz-schedule bench examples pardet perfcheck
 
 # report regenerates BENCH_metrics.json, the machine-readable run
 # report over E1-E14 (deterministic: same seed, same bytes).

@@ -26,7 +26,7 @@ import (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		r := experiments.ByID(id, 1)
+		r := experiments.Run(id, experiments.Config{Seed: 1})
 		if r == nil || len(r.Rows) == 0 {
 			b.Fatalf("experiment %s produced no rows", id)
 		}

@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	sim := netsim.NewSimulator(3)
+	sim := netsim.NewSimulator(3, nil)
 	// A ring of six routers with one shortcut.
 	edges := []network.Edge{
 		{A: 1, B: 2, Cost: 1}, {A: 2, B: 3, Cost: 1}, {A: 3, B: 4, Cost: 1},

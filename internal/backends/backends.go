@@ -50,11 +50,7 @@ func Names() []string { return []string{Sim, Sharded, Chan, UDP} }
 func New(kind string, seed int64, reg *metrics.Registry) (netsim.Backend, error) {
 	switch kind {
 	case Sim, "":
-		var opts []netsim.Option
-		if reg != nil {
-			opts = append(opts, netsim.WithMetrics(reg))
-		}
-		return netsim.NewSimulator(seed, opts...), nil
+		return netsim.NewSimulator(seed, reg), nil
 	case Chan:
 		return channet.New(seed, reg), nil
 	case UDP:

@@ -16,7 +16,7 @@ func (e *echo) HandleDown(p *PDU) { e.rt.SendDown(p) }
 func (e *echo) HandleUp(p *PDU)   { e.rt.DeliverUp(p) }
 
 func TestFacadeComposes(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	st, err := NewStack(sim, "facade", &echo{})
 	if err != nil {
 		t.Fatal(err)

@@ -201,7 +201,7 @@ func TestCRC16KnownVector(t *testing.T) {
 }
 
 func TestErrDetectFlagsDamage(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	ed := NewErrDetect(CRC32{})
 	st := sublayer.MustNew(sim, "ed", ed)
 	var sent []byte
@@ -251,7 +251,7 @@ type pair struct {
 
 func newPair(t *testing.T, seed int64, mk func() StackConfig, link netsim.LinkConfig) *pair {
 	t.Helper()
-	p := &pair{sim: netsim.NewSimulator(seed)}
+	p := &pair{sim: netsim.NewSimulator(seed, nil)}
 	var err error
 	p.a, err = NewStack(p.sim, "A", mk())
 	if err != nil {
@@ -473,7 +473,7 @@ func TestStopAndWaitAlternatingBit(t *testing.T) {
 // --- MAC over a shared bus ---
 
 func TestMACSharedMedium(t *testing.T) {
-	sim := netsim.NewSimulator(21)
+	sim := netsim.NewSimulator(21, nil)
 	bus := sim.NewBus(10_000_000, time.Microsecond) // 10 Mbps
 	slot := 200 * time.Microsecond
 
@@ -531,7 +531,7 @@ func TestMACSharedMedium(t *testing.T) {
 // --- Header overhead accounting (E1's Fig. 2 right side) ---
 
 func TestPerSublayerOverhead(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	st, err := NewStack(sim, "ovh", StackConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -563,7 +563,7 @@ func TestPerSublayerOverhead(t *testing.T) {
 func BenchmarkFullStackSend(b *testing.B) {
 	// NoARQ: an unacknowledged ARQ would retransmit forever into the
 	// void; this measures the encode path (checksum+framing+coding).
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	st, _ := NewStack(sim, "bench", StackConfig{NoARQ: true})
 	st.SetWire(func(p *sublayer.PDU) {})
 	payload := make([]byte, 256)
@@ -654,7 +654,7 @@ func TestNestedFramerRejectsInvalidRule(t *testing.T) {
 }
 
 func TestStuffSublayerDropsCorrupt(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	st := sublayer.MustNew(sim, "s", NewStuffSublayer(stuffing.HDLC()))
 	delivered := 0
 	st.SetApp(func(p *sublayer.PDU) { delivered++ })
@@ -674,7 +674,7 @@ func TestStuffSublayerDropsCorrupt(t *testing.T) {
 // bridge has learned, same-segment traffic is filtered rather than
 // forwarded.
 func TestBridgeLearnsAndForwards(t *testing.T) {
-	sim := netsim.NewSimulator(41)
+	sim := netsim.NewSimulator(41, nil)
 	slot := 200 * time.Microsecond
 	busA := sim.NewBus(10_000_000, time.Microsecond)
 	busB := sim.NewBus(10_000_000, time.Microsecond)
@@ -753,7 +753,7 @@ func TestBridgeLearnsAndForwards(t *testing.T) {
 // error detection over MAC over a colliding bus, no ARQ. Every
 // surviving frame verifies; collisions are resolved by backoff.
 func TestBroadcastLANWithChecksums(t *testing.T) {
-	sim := netsim.NewSimulator(42)
+	sim := netsim.NewSimulator(42, nil)
 	bus := sim.NewBus(10_000_000, time.Microsecond)
 	slot := 200 * time.Microsecond
 

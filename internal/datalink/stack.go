@@ -1,7 +1,6 @@
 package datalink
 
 import (
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/stuffing"
 	"repro/internal/sublayer"
@@ -44,13 +43,6 @@ func (c StackConfig) withDefaults() StackConfig {
 // Option configures NewStack beyond the sublayer selection. It is the
 // shared transport option set — datalink no longer grows its own.
 type Option = transport.Option
-
-// WithMetrics registers the stack's boundary counters and every
-// instrumented sublayer into reg under "<name>/datalink/...".
-//
-// Deprecation note: this is now an alias for transport.WithRegistry,
-// the shared option set; prefer that spelling in new code.
-func WithMetrics(reg *metrics.Registry) Option { return transport.WithRegistry(reg) }
 
 // NewStack composes a data-link endpoint per Fig. 2, top to bottom:
 // error recovery, error detection, framing, encoding. It accepts the

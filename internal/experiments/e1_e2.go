@@ -11,13 +11,15 @@ import (
 	"repro/internal/network"
 	"repro/internal/stuffing"
 	"repro/internal/sublayer"
+	"repro/internal/transport"
 )
 
 // E1DataLink reproduces Fig. 2: the four-sublayer data-link stack over
 // a corrupting, lossy link, with each sublayer independently swapped.
 // Columns report delivery (must always be 100%), recovery work, and
 // the per-variant wire expansion.
-func E1DataLink(seed int64) *Result {
+func E1DataLink(cfg Config) *Result {
+	seed := cfg.Seed
 	res := &Result{
 		ID:     "E1",
 		Title:  "Fig. 2 data-link sublayering: swap any sublayer, same service",
@@ -52,9 +54,9 @@ func E1DataLink(seed int64) *Result {
 	const packets = 40
 	for vi, v := range variants {
 		reg := metrics.New()
-		sim := netsim.NewSimulator(seed, netsim.WithMetrics(reg))
-		a, _ := datalink.NewStack(sim, "A", v.cfg(), datalink.WithMetrics(reg))
-		b, _ := datalink.NewStack(sim, "B", v.cfg(), datalink.WithMetrics(reg))
+		sim := netsim.NewSimulator(seed, reg)
+		a, _ := datalink.NewStack(sim, "A", v.cfg(), transport.WithRegistry(reg))
+		b, _ := datalink.NewStack(sim, "B", v.cfg(), transport.WithRegistry(reg))
 		delivered := 0
 		var wireBytes, wirePkts uint64
 		b.SetApp(func(p *sublayer.PDU) { delivered++ })
@@ -110,7 +112,8 @@ func E1DataLink(seed int64) *Result {
 // E2Routing reproduces Figs. 3–4: distance vector and link state reach
 // the same shortest paths on random graphs, reconverge after failures,
 // and swap live under an untouched forwarding plane.
-func E2Routing(seed int64) *Result {
+func E2Routing(cfg Config) *Result {
+	seed := cfg.Seed
 	res := &Result{
 		ID:     "E2",
 		Title:  "Figs. 3–4 network sublayering: route computation is fungible",
@@ -124,7 +127,7 @@ func E2Routing(seed int64) *Result {
 
 		check := func(alg string, mk func() network.RouteComputer) (bool, uint64) {
 			reg := metrics.New()
-			sim := netsim.NewSimulator(seed+int64(trial), netsim.WithMetrics(reg))
+			sim := netsim.NewSimulator(seed+int64(trial), reg)
 			topo := network.BuildTopology(sim, edges,
 				netsim.LinkConfig{Delay: time.Millisecond},
 				network.NeighborConfig{HelloInterval: 200 * time.Millisecond}, mk)
@@ -165,7 +168,7 @@ func E2Routing(seed int64) *Result {
 		})
 	}
 	// Live swap scenario.
-	sim := netsim.NewSimulator(seed)
+	sim := netsim.NewSimulator(seed, nil)
 	edges := []network.Edge{{A: 1, B: 2, Cost: 1}, {A: 2, B: 3, Cost: 1}, {A: 3, B: 4, Cost: 1}}
 	topo := network.BuildTopology(sim, edges, netsim.LinkConfig{Delay: time.Millisecond},
 		network.NeighborConfig{HelloInterval: 200 * time.Millisecond},
@@ -191,7 +194,7 @@ func E2Routing(seed int64) *Result {
 	// Reconvergence timing: square topology, cut the primary link,
 	// measure virtual time until the detour route is installed.
 	for _, alg := range []string{"dv", "ls"} {
-		simR := netsim.NewSimulator(seed + 99)
+		simR := netsim.NewSimulator(seed+99, nil)
 		sq := []network.Edge{{A: 1, B: 2, Cost: 1}, {A: 2, B: 4, Cost: 1}, {A: 1, B: 3, Cost: 2}, {A: 3, B: 4, Cost: 2}}
 		mk := func() network.RouteComputer {
 			if alg == "dv" {

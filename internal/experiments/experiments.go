@@ -1,5 +1,5 @@
 // Package experiments regenerates every table of EXPERIMENTS.md — one
-// function per experiment E1–E10 from DESIGN.md. Each function builds
+// func(Config) *Result per experiment E1–E16. Each function builds
 // its own simulated world from a seed, runs the workload, and returns
 // a formatted table plus structured rows, so cmd/benchreport, the
 // root-level benchmarks and the tests all share one implementation.
@@ -63,25 +63,19 @@ func (r *Result) Text() string {
 	return b.String()
 }
 
-// init registers E1–E10; E11 registers from e11.go. Everything else
-// (All, ByID, both cmd tools, the benchmarks) resolves experiments
-// through the registry, so a new experiment is exactly one Register
-// call.
+// init registers E1–E10; E11–E16 register from their own files.
+// Everything else (both cmd tools, the benchmarks, the tests) resolves
+// experiments through the registry via Run/RunAll, so a new experiment
+// is exactly one Register call.
 func init() {
-	Register("e1", func(c Config) *Result { return E1DataLink(c.Seed) })
-	Register("e2", func(c Config) *Result { return E2Routing(c.Seed) })
-	Register("e3", E3SublayeredTCPCfg)
-	Register("e4", E4InteropCfg)
-	Register("e5", func(c Config) *Result { return E5Stuffing() })
-	Register("e6", E6EntanglementCfg)
-	Register("e7", E7PerformanceCfg)
-	Register("e8", E8ReplaceCfg)
-	Register("e9", E9OffloadCfg)
-	Register("e10", E10ChaosSoakCfg)
+	Register("e1", E1DataLink)
+	Register("e2", E2Routing)
+	Register("e3", E3SublayeredTCP)
+	Register("e4", E4Interop)
+	Register("e5", E5Stuffing)
+	Register("e6", E6Entanglement)
+	Register("e7", E7Performance)
+	Register("e8", E8Replace)
+	Register("e9", E9Offload)
+	Register("e10", E10ChaosSoak)
 }
-
-// All runs every registered experiment with the given seed.
-func All(seed int64) []*Result { return RunAll(Config{Seed: seed}) }
-
-// ByID runs the named experiment (case-insensitive), or returns nil.
-func ByID(id string, seed int64) *Result { return Run(id, Config{Seed: seed}) }

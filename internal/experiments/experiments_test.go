@@ -11,7 +11,7 @@ import (
 // headline claim. These are the executable versions of EXPERIMENTS.md.
 
 func TestE1AllVariantsDeliver(t *testing.T) {
-	r := E1DataLink(1)
+	r := E1DataLink(Config{Seed: 1})
 	if len(r.Rows) < 8 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -23,7 +23,7 @@ func TestE1AllVariantsDeliver(t *testing.T) {
 }
 
 func TestE2BothComputersAgree(t *testing.T) {
-	r := E2Routing(2)
+	r := E2Routing(Config{Seed: 2})
 	for _, row := range r.Rows[:3] {
 		if row[2] != "true" || row[3] != "true" {
 			t.Errorf("scenario %q: dv=%s ls=%s", row[0], row[2], row[3])
@@ -55,7 +55,7 @@ func TestE3StreamsIntact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long transfer sweep")
 	}
-	r := E3SublayeredTCP(3)
+	r := E3SublayeredTCP(Config{Seed: 3})
 	for _, row := range r.Rows {
 		if row[2] != "true" {
 			t.Errorf("loss %s: stream corrupted", row[0])
@@ -67,7 +67,7 @@ func TestE4MatrixInterops(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long transfer matrix")
 	}
-	r := E4Interop(4)
+	r := E4Interop(Config{Seed: 4})
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -79,7 +79,7 @@ func TestE4MatrixInterops(t *testing.T) {
 }
 
 func TestE5PaperNumbers(t *testing.T) {
-	r := E5Stuffing()
+	r := E5Stuffing(Config{})
 	if r.Rows[0][1] != "1/32" {
 		t.Errorf("HDLC naive overhead = %s, want 1/32", r.Rows[0][1])
 	}
@@ -97,7 +97,7 @@ func TestE6SublayeredLessEntangled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("instrumented transfers")
 	}
-	r := E6Entanglement(6)
+	r := E6Entanglement(Config{Seed: 6})
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -131,7 +131,7 @@ func TestE9SimpleCutWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("offload workload")
 	}
-	r := E9Offload(9)
+	r := E9Offload(Config{Seed: 9})
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -145,7 +145,7 @@ func TestE10ChaosInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix")
 	}
-	r := E10ChaosSoak(10)
+	r := E10ChaosSoak(Config{Seed: 10})
 	if len(r.Rows) != 12 {
 		t.Fatalf("rows = %d, want 12 (6 scenarios × 2 stacks)", len(r.Rows))
 	}
@@ -177,7 +177,7 @@ func TestE11FlowScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-flow matrix")
 	}
-	r := E11FlowScaling(11)
+	r := E11FlowScaling(Config{Seed: 11})
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6 (3 flow counts × 2 stacks)", len(r.Rows))
 	}
@@ -200,7 +200,7 @@ func TestE12ControllersFungibleButDistinct(t *testing.T) {
 	if testing.Short() {
 		t.Skip("18-cell matrix")
 	}
-	r := E12CCBakeoff(12)
+	r := E12CCBakeoff(Config{Seed: 12})
 	if len(r.Rows) != 18 {
 		t.Fatalf("rows = %d, want 18 (2 stacks × 3 CCs × 3 regimes)", len(r.Rows))
 	}
@@ -232,7 +232,7 @@ func TestE12ControllersFungibleButDistinct(t *testing.T) {
 }
 
 func TestResultTextRenders(t *testing.T) {
-	r := E5Stuffing()
+	r := E5Stuffing(Config{})
 	txt := r.Text()
 	for _, want := range []string{"E5", "HDLC", "note:"} {
 		if !strings.Contains(txt, want) {
@@ -241,11 +241,19 @@ func TestResultTextRenders(t *testing.T) {
 	}
 }
 
+// TestByID: lookup by experiment id ignores case and resolves to the
+// experiment asked for; an unknown id resolves to nothing.
 func TestByID(t *testing.T) {
-	if ByID("e5", 1) == nil || ByID("E5", 1) == nil {
-		t.Error("ByID e5 nil")
+	for _, id := range []string{"e5", "E5"} {
+		r := Run(id, Config{Seed: 1})
+		if r == nil {
+			t.Fatalf("Run(%q) nil", id)
+		}
+		if r.ID != "E5" {
+			t.Errorf("Run(%q).ID = %q, want E5", id, r.ID)
+		}
 	}
-	if ByID("nope", 1) != nil {
+	if Run("nope", Config{Seed: 1}) != nil {
 		t.Error("unknown id not nil")
 	}
 }
@@ -254,14 +262,14 @@ func TestByID(t *testing.T) {
 // experiment at the same seed snapshots byte-identical metrics, and a
 // different seed produces a visibly different world.
 func TestMetricsDeterministic(t *testing.T) {
-	a, b := E1DataLink(7), E1DataLink(7)
+	a, b := E1DataLink(Config{Seed: 7}), E1DataLink(Config{Seed: 7})
 	if len(a.Metrics.Samples) == 0 {
 		t.Fatal("E1 attached no metrics")
 	}
 	if !bytes.Equal(a.Metrics.JSON(), b.Metrics.JSON()) {
 		t.Error("same seed, different snapshots")
 	}
-	c := E1DataLink(8)
+	c := E1DataLink(Config{Seed: 8})
 	if bytes.Equal(a.Metrics.JSON(), c.Metrics.JSON()) {
 		t.Error("different seeds produced identical snapshots")
 	}
@@ -274,7 +282,7 @@ func TestMetricsDeterministicTransport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("offload workload")
 	}
-	a, b := E9Offload(11), E9Offload(11)
+	a, b := E9Offload(Config{Seed: 11}), E9Offload(Config{Seed: 11})
 	if len(a.Metrics.Samples) == 0 {
 		t.Fatal("E9 attached no metrics")
 	}
@@ -294,7 +302,7 @@ func TestMetricsDeterministicChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix")
 	}
-	a, b := E10ChaosSoak(13), E10ChaosSoak(13)
+	a, b := E10ChaosSoak(Config{Seed: 13}), E10ChaosSoak(Config{Seed: 13})
 	if len(a.Metrics.Samples) == 0 {
 		t.Fatal("E10 attached no metrics")
 	}
@@ -304,7 +312,7 @@ func TestMetricsDeterministicChaos(t *testing.T) {
 	if !bytes.Equal(a.Metrics.JSON(), b.Metrics.JSON()) {
 		t.Error("same seed, different snapshots")
 	}
-	c := E10ChaosSoak(14)
+	c := E10ChaosSoak(Config{Seed: 14})
 	if bytes.Equal(a.Metrics.JSON(), c.Metrics.JSON()) {
 		t.Error("different seeds produced identical snapshots")
 	}
@@ -317,7 +325,7 @@ func TestAllExperimentsCarryMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	for _, r := range All(1) {
+	for _, r := range RunAll(Config{Seed: 1}) {
 		if len(r.Metrics.Samples) == 0 {
 			t.Errorf("%s: no metrics in run report", r.ID)
 		}

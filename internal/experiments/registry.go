@@ -42,7 +42,7 @@ type Config struct {
 // Runner generates one experiment's Result from a Config.
 type Runner func(Config) *Result
 
-// registry maps canonical lower-case IDs ("e1".."e14") to runners
+// registry maps canonical lower-case IDs ("e1", "e2", ...) to runners
 // whose Results are pure functions of the seed. Experiments
 // self-register from init, so adding an experiment is one Register
 // call — cmd/benchreport, cmd/runreport, the benchmarks and the tests

@@ -13,7 +13,7 @@ import (
 // timers, converged and ready for fault injection.
 func buildLine(t *testing.T, seed int64, n int, link netsim.LinkConfig) (*netsim.Simulator, *network.Topology) {
 	t.Helper()
-	sim := netsim.NewSimulator(seed)
+	sim := netsim.NewSimulator(seed, nil)
 	var edges []network.Edge
 	for i := 1; i < n; i++ {
 		edges = append(edges, network.Edge{A: network.Addr(i), B: network.Addr(i + 1), Cost: 1})

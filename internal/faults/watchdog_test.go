@@ -12,7 +12,7 @@ import (
 // deadline's own virtual time — the check runs inside the event loop at
 // precisely that tick, not "sometime after".
 func TestArmDeadlineFiresExactlyAtTheTick(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	w := NewWatchdog()
 	var seenAt netsim.Time
 	progress := false
@@ -39,7 +39,7 @@ func TestArmDeadlineFiresExactlyAtTheTick(t *testing.T) {
 
 	// A deadline whose predicate holds records nothing.
 	w2 := NewWatchdog()
-	sim2 := netsim.NewSimulator(1)
+	sim2 := netsim.NewSimulator(1, nil)
 	w2.ArmDeadline(sim2, time.Second, "ok", func() bool { return true })
 	sim2.RunFor(2 * time.Second)
 	if !w2.OK() {
@@ -77,7 +77,7 @@ func TestDisarmDuringCrashRestartWindow(t *testing.T) {
 
 	// Overlapping windows: checks resume only when every window closes.
 	w2 := NewWatchdog()
-	sim2 := netsim.NewSimulator(2)
+	sim2 := netsim.NewSimulator(2, nil)
 	w2.Disarm(sim2, 0, 2*time.Second)
 	w2.Disarm(sim2, time.Second, 2*time.Second)
 	w2.ArmDeadline(sim2, 2500*time.Millisecond, "overlap", stalled) // first closed, second open

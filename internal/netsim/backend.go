@@ -13,11 +13,14 @@ import (
 // timers, impaired point-to-point links with per-link metrics and trace
 // identity, and a serialization point for external drivers.
 //
-// Three implementations exist:
+// Three substrates implement it:
 //
-//   - *Simulator (this package): virtual clock, deterministic event
-//     heap. Exec is an inline call and Close a no-op; everything runs
-//     single-threaded inside the event loop.
+//   - the event engine (this package): virtual clock, deterministic
+//     event heaps. *Sharded runs N shards under lookahead windows;
+//     *Simulator is its sequential handle — one shard, one rank-0 view
+//     — and the ordering reference the sharded runs must match byte
+//     for byte. Exec is an inline call; everything runs inside the
+//     event loop.
 //   - channet.Network: goroutines plus real time.Timers, no virtual
 //     clock; an in-process channel network.
 //   - udpnet.Network: the same wire bytes framed over real UDP sockets
@@ -118,7 +121,7 @@ func CloneBuf(data []byte) []byte {
 
 // NewDuplexOn builds a symmetric bidirectional link on any backend,
 // with the same config in each direction, delivering to the two
-// handlers. It is the backend-agnostic form of Simulator.NewDuplex.
+// handlers.
 func NewDuplexOn(b Backend, cfg LinkConfig, toA, toB Handler) *Duplex {
 	return &Duplex{AB: b.NewLink(cfg, toB), BA: b.NewLink(cfg, toA)}
 }
@@ -131,14 +134,3 @@ func NewDuplexOn(b Backend, cfg LinkConfig, toA, toB Handler) *Duplex {
 func NewDuplexBetween(ba, bb Backend, cfg LinkConfig, toA, toB Handler) *Duplex {
 	return &Duplex{AB: LinkOn(ba, cfg, toB, bb), BA: LinkOn(bb, cfg, toA, ba)}
 }
-
-// Name identifies the simulator backend.
-func (s *Simulator) Name() string { return "sim" }
-
-// Exec runs fn inline: the simulator is single-threaded, so the
-// driver already has exclusive access between Run* calls.
-func (s *Simulator) Exec(fn func()) { fn() }
-
-// Close is a no-op on the simulator; it exists to satisfy Backend so
-// drivers can unconditionally defer w.Close().
-func (s *Simulator) Close() error { return nil }

@@ -118,11 +118,11 @@ func (m *LinkMetrics) View() metrics.View {
 func linkName(n int) string { return fmt.Sprintf("link%d", n) }
 
 // linkEnv is what a Link needs from its substrate: the send-side
-// clock, the tracer, and the two event sinks. On the sequential
-// Simulator all of it is the one event heap; on the sharded engine the
-// env is the sending node's view, and postDeliver may cross into
-// another shard's mailbox while postQueueFree always stays local (the
-// serializer is send-side state).
+// clock, the tracer, and the two event sinks. The env is the sending
+// node's view of the engine (the Simulator's rank-0 view included);
+// postDeliver may cross into another shard's mailbox while
+// postQueueFree always stays local (the serializer is send-side
+// state).
 type linkEnv interface {
 	envNow() Time
 	envTracer() Tracer
@@ -130,26 +130,10 @@ type linkEnv interface {
 	postQueueFree(l *Link, at Time)
 }
 
-func (s *Simulator) envNow() Time     { return s.now }
-func (s *Simulator) envTracer() Tracer { return s.tracer }
-
-func (s *Simulator) postDeliver(l *Link, at Time, data []byte, ecn bool) {
-	e := s.post(at)
-	e.kind = evDeliver
-	e.lnk = l
-	e.pkt = Packet{Data: data, ECN: ecn}
-}
-
-func (s *Simulator) postQueueFree(l *Link, at Time) {
-	e := s.post(at)
-	e.kind = evQueueFree
-	e.lnk = l
-}
-
 // Link is a unidirectional impaired channel on the simulator. Create
-// with Simulator.NewLink; send with Send. Delivery invokes the
-// destination handler inside the event loop. Link is the simulator's
-// Port implementation.
+// with NewLink (or LinkOn) on the Simulator or a node view; send with
+// Send. Delivery invokes the destination handler inside the event
+// loop. Link is the simulator's Port implementation.
 type Link struct {
 	env  linkEnv
 	cfg  LinkConfig
@@ -169,23 +153,6 @@ type Link struct {
 	// down_drop (used by routing failure experiments and fault
 	// injection).
 	up bool
-}
-
-// NewLink creates a unidirectional link delivering to dst. When the
-// simulator carries a registry, the link's counters register under
-// "netsim/link<n>/..." in creation order.
-func (s *Simulator) NewLink(cfg LinkConfig, dst Handler) Port {
-	if dst == nil {
-		panic("netsim: NewLink with nil destination")
-	}
-	l := &Link{env: s, cfg: cfg, dst: dst, up: true,
-		name: linkName(s.linkSeq),
-		rng:  rand.New(rand.NewSource(linkSeed(s.seed, s.linkSeq)))}
-	if s.msc != nil {
-		l.m.Bind(s.msc.Sub(l.name))
-	}
-	s.linkSeq++
-	return l
 }
 
 // Name returns the link's creation-order identity ("link0", "link1",
@@ -381,15 +348,6 @@ func chance(rng *rand.Rand, p float64) bool {
 type Duplex struct {
 	AB Port // a → b
 	BA Port // b → a
-}
-
-// NewDuplex builds a symmetric bidirectional link with the same config
-// in each direction, delivering to the two handlers.
-//
-// Prefer the backend-agnostic NewDuplexOn, which works on every
-// Backend; this method remains for direct simulator wiring.
-func (s *Simulator) NewDuplex(cfg LinkConfig, toA, toB Handler) *Duplex {
-	return NewDuplexOn(s, cfg, toA, toB)
 }
 
 // SetUp raises or cuts both directions.

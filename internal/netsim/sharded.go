@@ -1,10 +1,11 @@
 package netsim
 
-// Sharded is the parallel discrete-event engine: the topology is
-// partitioned into per-shard event heaps (evCore), synchronized by
-// conservative lookahead windows, with cross-shard packet delivery
-// through batched, sequence-numbered mailboxes — the classic
-// null-message/time-bucket design.
+// Sharded is the discrete-event engine: the topology is partitioned
+// into per-shard event heaps (evCore), synchronized by conservative
+// lookahead windows, with cross-shard packet delivery through batched,
+// sequence-numbered mailboxes — the classic null-message/time-bucket
+// design. The Simulator (sim.go) is the same engine with one shard,
+// driven through a single rank-0 view.
 //
 // # Determinism
 //
@@ -184,14 +185,14 @@ func (e *Sharded) NodeView(shard int) Backend {
 	if shard < 0 || shard >= len(e.cores) {
 		panic(fmt.Sprintf("netsim: NodeView shard %d out of range [0,%d)", shard, len(e.cores)))
 	}
-	rank := int32(len(e.views))
-	v := &view{
-		eng:   e,
-		core:  e.cores[shard],
-		shard: shard,
-		rank:  rank,
-		rng:   rand.New(rand.NewSource(e.seed ^ (int64(rank)+1)*0x7F4A7C159E3779B9)),
-	}
+	rank := int64(len(e.views))
+	return e.newView(shard, rand.New(rand.NewSource(e.seed^(rank+1)*0x7F4A7C159E3779B9)))
+}
+
+// newView appends a view on shard with the next rank and the given
+// random stream.
+func (e *Sharded) newView(shard int, rng *rand.Rand) *view {
+	v := &view{eng: e, core: e.cores[shard], shard: shard, rank: int32(len(e.views)), rng: rng}
 	e.views = append(e.views, v)
 	return v
 }
@@ -261,8 +262,7 @@ func (e *Sharded) Steps() uint64 {
 }
 
 // Pending counts events waiting in every shard heap, the control heap
-// and the mailboxes, tombstones included — the shard-aware version of
-// Simulator.Pending.
+// and the mailboxes, tombstones included.
 func (e *Sharded) Pending() int {
 	n := len(e.ctl.events)
 	for _, c := range e.cores {
@@ -278,7 +278,7 @@ func (e *Sharded) Pending() int {
 
 // Exec runs fn in driver context. All shards are parked between Run*
 // calls and the barrier's synchronization makes their writes visible,
-// so an inline call is safe, exactly like the sequential simulator.
+// so an inline call is safe.
 func (e *Sharded) Exec(fn func()) { fn() }
 
 // SetTracer attaches the causal tracer. With more than one shard the
@@ -503,10 +503,14 @@ func (v *view) NewLink(cfg LinkConfig, dst Handler) Port {
 }
 
 // NewLinkTo creates a link delivering into dstB's shard; dstB must be
-// a view of the same engine. Same-shard destinations use the direct
-// heap path; cross-shard destinations go through the mailbox and
-// contribute their delay to the lookahead bound.
+// a view of the same engine (or the Simulator wrapping one). Same-shard
+// destinations use the direct heap path; cross-shard destinations go
+// through the mailbox and contribute their delay to the lookahead
+// bound.
 func (v *view) NewLinkTo(cfg LinkConfig, dst Handler, dstB Backend) Port {
+	if s, ok := dstB.(*Simulator); ok {
+		dstB = s.view
+	}
 	dv, ok := dstB.(*view)
 	if !ok || dv.eng != v.eng {
 		panic("netsim: NewLinkTo destination must be a view of the same sharded engine")

@@ -149,7 +149,7 @@ func TestShardedCancelledAndPendingShardAware(t *testing.T) {
 
 	reg1 := metrics.New()
 	seqCancelled, seqPending := build(func() (Backend, func() uint64, func() int) {
-		s := NewSimulator(9, WithMetrics(reg1))
+		s := NewSimulator(9, reg1)
 		return s, func() uint64 {
 			return counterValue(t, reg1, "netsim/events/cancelled")
 		}, s.Pending

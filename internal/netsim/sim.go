@@ -6,20 +6,21 @@
 // EXPERIMENTS.md is an exact function of its seed: loss patterns,
 // reordering, corruption and timer interleavings replay identically.
 //
-// The model is intentionally small: a Simulator owns a virtual clock
-// and an event heap; a Link is a unidirectional channel with
-// configurable propagation delay, jitter, serialization rate, queue
-// limit, loss, duplication, reordering, bit corruption and ECN marking;
-// a Bus is a shared broadcast medium with collisions for the MAC
-// sublayer experiments. The Sharded engine (sharded.go) runs several
-// event heaps in parallel under conservative lookahead windows while
-// producing byte-identical results.
+// The model is intentionally small. There is one event engine,
+// Sharded (sharded.go): per-shard event heaps with a virtual clock,
+// run in parallel under conservative lookahead windows. A Simulator is
+// its sequential handle — one shard and one rank-0 node view, so every
+// event carries the plain sequential key and the sim backend stays the
+// ordering reference the multi-shard runs are byte-compared against.
+// A Link is a unidirectional channel with configurable propagation
+// delay, jitter, serialization rate, queue limit, loss, duplication,
+// reordering, bit corruption and ECN marking; a Bus is a shared
+// broadcast medium with collisions for the MAC sublayer experiments.
 package netsim
 
 import (
 	"container/heap"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/metrics"
@@ -108,11 +109,11 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// evCore is one event heap plus its clock, freelist and counters: the
-// whole engine of the sequential Simulator, and one shard of the
-// Sharded engine. Every instrument has a single writer (the goroutine
-// running the core), which is the discipline that lets the sharded
-// engine avoid atomics: cross-core reads only happen at barriers.
+// evCore is one event heap plus its clock, freelist and counters: one
+// shard of the Sharded engine (the Simulator's only one). Every
+// instrument has a single writer (the goroutine running the core),
+// which is the discipline that lets the sharded engine avoid atomics:
+// cross-core reads only happen at barriers.
 type evCore struct {
 	now    Time
 	events eventHeap
@@ -277,61 +278,36 @@ func dispatch(e *event, tr Tracer) {
 	}
 }
 
-// Simulator owns the virtual clock, the event queue and the random
-// source. It is not safe for concurrent use; all protocol code runs
+// Simulator is the sequential handle on the event engine: a one-shard
+// Sharded engine plus its rank-0 node view. Every bare call (Schedule,
+// ScheduleTimer, Every, NewLink, Now, Rand) goes through that view, so
+// each event carries the sequential key — rank 0, one sequence
+// counter, schedAt = now — and the run loop, links and tracer are the
+// engine's own. That key never consults node identity, which is what
+// keeps the sim backend an independent ordering reference for the
+// sharded engine's rank-based merge rule. The Simulator is not a
+// Sharder: topology builders wire every node straight onto it.
+//
+// It is not safe for concurrent use; all protocol code runs
 // single-threaded inside event callbacks, which is what makes runs
 // reproducible.
 type Simulator struct {
-	evCore
-	seed int64
-	rng  *rand.Rand
-
-	// msc is the simulator's metrics scope ("netsim/..."); nil when no
-	// registry is attached (all instruments then run detached).
-	msc     *metrics.Scope
-	linkSeq int
-	busSeq  int
-	// tracer, when non-nil, receives causal trace events (see trace.go).
-	// Nil by default; every emission site is a single nil check.
-	tracer Tracer
-}
-
-// Option configures a Simulator at construction.
-type Option func(*Simulator)
-
-// WithMetrics registers the simulator's event counters and every
-// subsequently created Link and Bus into reg under "netsim/...".
-//
-// Deprecation note: world-building callers should not use this
-// directly anymore — construct through harness.New with
-// transport.WithRegistry, which plumbs the registry to whichever
-// backend is selected. This option remains for code driving a bare
-// Simulator.
-func WithMetrics(reg *metrics.Registry) Option {
-	return func(s *Simulator) { s.msc = reg.Scope("netsim") }
+	*view
+	busSeq int
 }
 
 // NewSimulator returns a simulator whose randomness derives from seed.
-func NewSimulator(seed int64, opts ...Option) *Simulator {
-	s := &Simulator{seed: seed, rng: rand.New(rand.NewSource(seed))}
-	for _, o := range opts {
-		o(s)
-	}
-	if s.msc != nil {
-		sc := s.msc.Sub("events")
-		sc.Register("scheduled", &s.scheduled)
-		sc.Register("executed", &s.executed)
-		sc.Register("cancelled", &s.cancelled)
-	}
-	return s
+// When reg is non-nil the event counters and every subsequently
+// created Link and Bus register under "netsim/...".
+func NewSimulator(seed int64, reg *metrics.Registry) *Simulator {
+	e := NewSharded(seed, 1, reg)
+	// The view draws from the seed's own stream, not a rank-derived
+	// one: E1's MAC backoff depends on it.
+	return &Simulator{view: e.newView(0, e.rng)}
 }
 
-// Now returns the current virtual time.
-func (s *Simulator) Now() Time { return s.now }
-
-// Rand returns the simulation-owned random source. Protocol code must
-// use this (never the global source) to stay deterministic.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
+// Name identifies the simulator backend.
+func (s *Simulator) Name() string { return "sim" }
 
 // linkSeed derives the impairment stream of link index idx from the
 // world seed. Links draw loss/jitter/reorder/corrupt/dup from their own
@@ -399,15 +375,6 @@ func (t *Timer) Active() bool {
 	return t.ev != nil && t.ev.gen == t.gen && !t.ev.dead
 }
 
-// Schedule runs fn after virtual delay d (clamped to ≥ 0).
-func (s *Simulator) Schedule(d time.Duration, fn func()) *Timer {
-	t := s.now + durTicks(d)
-	if t < s.now {
-		t = s.now
-	}
-	return s.ScheduleAt(t, fn)
-}
-
 // ScheduleAt runs fn at absolute virtual time at (clamped to ≥ now).
 func (s *Simulator) ScheduleAt(at Time, fn func()) *Timer {
 	e := s.post(at)
@@ -415,42 +382,24 @@ func (s *Simulator) ScheduleAt(at Time, fn func()) *Timer {
 	return &Timer{ev: e, gen: e.gen}
 }
 
-// ScheduleTimer is Schedule returning the Timer by value, for callers
-// that hold the handle in a long-lived struct (Repeater, the
-// transports' retransmission state) and should not allocate one per
-// re-arm. A zero Timer is inert: Stop and Active are safe on it.
-func (s *Simulator) ScheduleTimer(d time.Duration, fn func()) Timer {
-	t := s.now + durTicks(d)
-	if t < s.now {
-		t = s.now
-	}
-	e := s.post(t)
-	e.fn = fn
-	return Timer{ev: e, gen: e.gen}
-}
-
-// post pushes an event at time at (clamped to ≥ now) with the
-// sequential key: rank 0, global sequence, schedAt = now.
-func (s *Simulator) post(at Time) *event {
-	if at < s.now {
-		at = s.now
-	}
-	s.seq++
-	return s.evCore.post(at, s.now, 0, s.seq)
-}
-
 // Pending returns the number of events in the heap, tombstones
 // included (tests and capacity planning).
-func (s *Simulator) Pending() int { return len(s.events) }
+func (s *Simulator) Pending() int { return s.eng.Pending() }
 
-// Step executes the next pending event. It reports false when the queue
-// is empty.
-func (s *Simulator) Step() bool { return s.step(s.tracer) }
+// Step executes the next pending event, advancing the engine clock to
+// it. It reports false when the queue is empty.
+func (s *Simulator) Step() bool {
+	if !s.core.step(s.eng.tracer) {
+		return false
+	}
+	s.eng.now = s.core.now
+	return true
+}
 
 // Run executes events until the queue drains or the step limit is hit;
 // it returns the number of events executed. A zero limit means no
 // limit. Protocols with periodic timers never drain the queue, so most
-// callers use RunFor or RunUntilIdle instead.
+// callers use RunFor instead.
 func (s *Simulator) Run(limit int) int {
 	n := 0
 	for (limit == 0 || n < limit) && s.Step() {
@@ -459,40 +408,8 @@ func (s *Simulator) Run(limit int) int {
 	return n
 }
 
-// RunFor executes events for a span of virtual time, then stops with
-// the clock advanced to exactly start+d.
-func (s *Simulator) RunFor(d time.Duration) {
-	s.RunUntil(s.now + durTicks(d))
-}
-
-// RunUntil executes all events scheduled strictly up to and including
-// time t, then sets the clock to t.
-func (s *Simulator) RunUntil(t Time) {
-	for {
-		at, ok := s.nextAt()
-		if !ok || at > t {
-			break
-		}
-		s.Step()
-	}
-	if s.now < t {
-		s.now = t
-	}
-}
-
-// Steps returns the total number of events executed, a cheap progress
-// metric for benchmarks. It reads the same counter the metrics
-// registry exports as "netsim/events/executed".
-func (s *Simulator) Steps() uint64 { return s.executed.Value() }
-
-// Every schedules fn to run every interval until the returned Repeater
-// is stopped. The first firing is after one interval.
-func (s *Simulator) Every(interval time.Duration, fn func()) *Repeater {
-	return newRepeater(s, interval, fn)
-}
-
 // timerScheduler is the sliver of Backend a Repeater needs to re-arm;
-// the Simulator, the RTClock and the sharded engine's views satisfy it.
+// the RTClock and the sharded engine (its views included) satisfy it.
 type timerScheduler interface {
 	ScheduleTimer(d time.Duration, fn func()) Timer
 }
@@ -533,5 +450,5 @@ func (r *Repeater) Stop() {
 }
 
 func (s *Simulator) String() string {
-	return fmt.Sprintf("sim(t=%v, pending=%d, steps=%d)", s.now, len(s.events), s.executed.Value())
+	return fmt.Sprintf("sim(t=%v, pending=%d, steps=%d)", s.Now(), s.Pending(), s.Steps())
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestScheduleOrdering(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	var got []int
 	s.Schedule(3*time.Millisecond, func() { got = append(got, 3) })
 	s.Schedule(1*time.Millisecond, func() { got = append(got, 1) })
@@ -23,7 +23,7 @@ func TestScheduleOrdering(t *testing.T) {
 }
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -37,8 +37,36 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	}
 }
 
+// TestBareScheduleAndDeliveryKeepCallOrder pins the sequential key of
+// a bare Simulator: a driver Schedule and a link delivery that land on
+// the same (at, schedAt) run in call order, whichever call comes first.
+// Driver schedules on a separate control rank would order after the
+// delivery either way, flipping the timer-first case.
+func TestBareScheduleAndDeliveryKeepCallOrder(t *testing.T) {
+	for _, timerFirst := range []bool{true, false} {
+		s := NewSimulator(1, nil)
+		s.RunFor(time.Millisecond) // a nonzero schedAt for both events
+		var got []string
+		l := s.NewLink(LinkConfig{Delay: time.Millisecond}, func(*Packet) { got = append(got, "deliver") })
+		timer := func() { s.Schedule(time.Millisecond, func() { got = append(got, "timer") }) }
+		want := []string{"deliver", "timer"}
+		if timerFirst {
+			timer()
+			l.Send([]byte{1})
+			want = []string{"timer", "deliver"}
+		} else {
+			l.Send([]byte{1})
+			timer()
+		}
+		s.RunFor(time.Millisecond)
+		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+			t.Errorf("timerFirst=%v: order = %v, want %v", timerFirst, got, want)
+		}
+	}
+}
+
 func TestTimerStop(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	fired := false
 	tm := s.Schedule(time.Millisecond, func() { fired = true })
 	if !tm.Active() {
@@ -57,7 +85,7 @@ func TestTimerStop(t *testing.T) {
 }
 
 func TestNestedScheduling(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	var at []Time
 	s.Schedule(time.Millisecond, func() {
 		at = append(at, s.Now())
@@ -70,7 +98,7 @@ func TestNestedScheduling(t *testing.T) {
 }
 
 func TestScheduleAtPastClamped(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	s.Schedule(time.Millisecond, func() {
 		s.ScheduleAt(0, func() {})
 	})
@@ -81,7 +109,7 @@ func TestScheduleAtPastClamped(t *testing.T) {
 }
 
 func TestRunFor(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	ran := 0
 	s.Schedule(time.Millisecond, func() { ran++ })
 	s.Schedule(5*time.Millisecond, func() { ran++ })
@@ -99,7 +127,7 @@ func TestRunFor(t *testing.T) {
 }
 
 func TestRunLimit(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	for i := 0; i < 5; i++ {
 		s.Schedule(time.Duration(i)*time.Millisecond, func() {})
 	}
@@ -112,7 +140,7 @@ func TestRunLimit(t *testing.T) {
 }
 
 func TestRepeater(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	count := 0
 	r := s.Every(time.Second, func() { count++ })
 	s.RunFor(5500 * time.Millisecond)
@@ -128,7 +156,7 @@ func TestRepeater(t *testing.T) {
 
 func TestDeterminismSameSeed(t *testing.T) {
 	run := func(seed int64) []int {
-		s := NewSimulator(seed)
+		s := NewSimulator(seed, nil)
 		var delivered []int
 		link := s.NewLink(LinkConfig{
 			Delay: time.Millisecond, Jitter: time.Millisecond,
@@ -165,7 +193,7 @@ func TestDeterminismSameSeed(t *testing.T) {
 }
 
 func TestLinkDelay(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	var at Time
 	l := s.NewLink(LinkConfig{Delay: 10 * time.Millisecond}, func(p *Packet) { at = s.Now() })
 	l.Send([]byte("x"))
@@ -176,7 +204,7 @@ func TestLinkDelay(t *testing.T) {
 }
 
 func TestLinkSerializationRate(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	var times []Time
 	// 8000 bits/sec: a 1000-byte packet takes exactly 1 second.
 	l := s.NewLink(LinkConfig{RateBps: 8000}, func(p *Packet) { times = append(times, s.Now()) })
@@ -192,7 +220,7 @@ func TestLinkSerializationRate(t *testing.T) {
 }
 
 func TestLinkQueueDrop(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	n := 0
 	l := s.NewLink(LinkConfig{RateBps: 8000, QueueLimit: 2}, func(p *Packet) { n++ })
 	for i := 0; i < 10; i++ {
@@ -208,7 +236,7 @@ func TestLinkQueueDrop(t *testing.T) {
 }
 
 func TestLinkECNMarking(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	marked := 0
 	l := s.NewLink(LinkConfig{RateBps: 8000, QueueLimit: 100, ECNThreshold: 2},
 		func(p *Packet) {
@@ -229,7 +257,7 @@ func TestLinkECNMarking(t *testing.T) {
 }
 
 func TestLinkLossAll(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	n := 0
 	l := s.NewLink(LinkConfig{LossProb: 1}, func(p *Packet) { n++ })
 	for i := 0; i < 50; i++ {
@@ -245,7 +273,7 @@ func TestLinkLossAll(t *testing.T) {
 }
 
 func TestLinkDuplication(t *testing.T) {
-	s := NewSimulator(3)
+	s := NewSimulator(3, nil)
 	n := 0
 	l := s.NewLink(LinkConfig{DupProb: 1}, func(p *Packet) { n++ })
 	for i := 0; i < 20; i++ {
@@ -258,7 +286,7 @@ func TestLinkDuplication(t *testing.T) {
 }
 
 func TestLinkCorruptionFlipsOneBit(t *testing.T) {
-	s := NewSimulator(5)
+	s := NewSimulator(5, nil)
 	orig := []byte{0xAA, 0xBB, 0xCC}
 	var got []byte
 	l := s.NewLink(LinkConfig{CorruptProb: 1}, func(p *Packet) { got = p.Data })
@@ -280,7 +308,7 @@ func TestLinkCorruptionFlipsOneBit(t *testing.T) {
 }
 
 func TestLinkReorderingObserved(t *testing.T) {
-	s := NewSimulator(11)
+	s := NewSimulator(11, nil)
 	var order []int
 	l := s.NewLink(LinkConfig{Delay: time.Millisecond, ReorderProb: 0.5},
 		func(p *Packet) { order = append(order, int(p.Data[0])) })
@@ -300,7 +328,7 @@ func TestLinkReorderingObserved(t *testing.T) {
 }
 
 func TestLinkDown(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	n := 0
 	l := s.NewLink(LinkConfig{}, func(p *Packet) { n++ })
 	l.SetUp(false)
@@ -318,7 +346,7 @@ func TestLinkDown(t *testing.T) {
 }
 
 func TestLinkDataCopied(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	buf := []byte{1, 2, 3}
 	var got []byte
 	l := s.NewLink(LinkConfig{Delay: time.Millisecond}, func(p *Packet) { got = p.Data })
@@ -331,9 +359,9 @@ func TestLinkDataCopied(t *testing.T) {
 }
 
 func TestDuplexBothDirections(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	var atA, atB []byte
-	d := s.NewDuplex(LinkConfig{Delay: time.Millisecond},
+	d := NewDuplexOn(s, LinkConfig{Delay: time.Millisecond},
 		func(p *Packet) { atA = p.Data },
 		func(p *Packet) { atB = p.Data })
 	d.AB.Send([]byte("to-b"))
@@ -349,7 +377,7 @@ func TestDuplexBothDirections(t *testing.T) {
 }
 
 func TestBusSingleTransmission(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	b := s.NewBus(1_000_000, time.Microsecond)
 	var got [3][]byte
 	var sts [3]*Station
@@ -368,7 +396,7 @@ func TestBusSingleTransmission(t *testing.T) {
 }
 
 func TestBusCollision(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	b := s.NewBus(1_000_000, time.Microsecond)
 	received := 0
 	collided := [2]bool{}
@@ -392,7 +420,7 @@ func TestBusCollision(t *testing.T) {
 }
 
 func TestBusCarrierSense(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	b := s.NewBus(8_000, 0) // 1000-byte frame = 1s
 	st0 := b.Attach(func(p *Packet) {})
 	st1 := b.Attach(func(p *Packet) {})
@@ -411,7 +439,7 @@ func TestBusCarrierSense(t *testing.T) {
 }
 
 func TestBusSequentialNoCollision(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	b := s.NewBus(1_000_000, 0)
 	n := 0
 	st0 := b.Attach(func(p *Packet) { n++ })
@@ -430,7 +458,7 @@ func TestBusSequentialNoCollision(t *testing.T) {
 }
 
 func BenchmarkSimulatorScheduleRun(b *testing.B) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Schedule(time.Duration(i%1000)*time.Microsecond, func() {})
@@ -442,7 +470,7 @@ func BenchmarkSimulatorScheduleRun(b *testing.B) {
 }
 
 func BenchmarkLinkSend(b *testing.B) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	l := s.NewLink(LinkConfig{Delay: time.Millisecond, LossProb: 0.01}, func(p *Packet) {})
 	data := make([]byte, 1500)
 	b.ReportAllocs()
@@ -457,7 +485,7 @@ func BenchmarkLinkSend(b *testing.B) {
 
 func TestLinkDownMidFlight(t *testing.T) {
 	// A packet already in flight when the link is cut must not arrive.
-	s := NewSimulator(51)
+	s := NewSimulator(51, nil)
 	n := 0
 	l := s.NewLink(LinkConfig{Delay: 10 * time.Millisecond}, func(p *Packet) { n++ })
 	l.Send([]byte("doomed"))
@@ -474,7 +502,7 @@ func TestLinkDownMidFlight(t *testing.T) {
 func TestLinkDownDropAndSetLossProb(t *testing.T) {
 	// Downed-link drops count as down_drop, not lost; SetLossProb
 	// retunes random loss at runtime (the fault injector's GE overlay).
-	s := NewSimulator(53)
+	s := NewSimulator(53, nil)
 	n := 0
 	l := s.NewLink(LinkConfig{}, func(p *Packet) { n++ })
 	l.SetUp(false)
@@ -508,7 +536,7 @@ func TestLinkDownDropAndSetLossProb(t *testing.T) {
 func TestBusThreeWayCollisionExtendsPeriod(t *testing.T) {
 	// A third transmission joining an already-collided period extends
 	// it; everyone involved gets exactly one collision callback set.
-	s := NewSimulator(52)
+	s := NewSimulator(52, nil)
 	b := s.NewBus(8_000, 0) // 1000B = 1s
 	var collided [3]bool
 	received := 0
@@ -534,7 +562,7 @@ func TestBusThreeWayCollisionExtendsPeriod(t *testing.T) {
 }
 
 func TestRepeaterStopInsideCallback(t *testing.T) {
-	s := NewSimulator(53)
+	s := NewSimulator(53, nil)
 	count := 0
 	var r *Repeater
 	r = s.Every(time.Second, func() {
@@ -550,7 +578,7 @@ func TestRepeaterStopInsideCallback(t *testing.T) {
 }
 
 func TestTimerActiveLifecycle(t *testing.T) {
-	s := NewSimulator(54)
+	s := NewSimulator(54, nil)
 	tm := s.Schedule(time.Millisecond, func() {})
 	if !tm.Active() {
 		t.Error("pending timer not active")
@@ -569,9 +597,9 @@ func TestTimerActiveLifecycle(t *testing.T) {
 }
 
 func TestHeapCompaction(t *testing.T) {
-	s := NewSimulator(1)
+	s := NewSimulator(1, nil)
 	reg := metrics.New()
-	s2 := NewSimulator(1, WithMetrics(reg))
+	s2 := NewSimulator(1, reg)
 	for _, sim := range []*Simulator{s, s2} {
 		var timers []*Timer
 		for i := 0; i < 1000; i++ {
@@ -602,7 +630,7 @@ func TestHeapCompactionPreservesOrdering(t *testing.T) {
 	// surviving events in the same deterministic order whether or not a
 	// compaction happens in between.
 	run := func(cancelN int) []int {
-		sim := NewSimulator(7)
+		sim := NewSimulator(7, nil)
 		var got []int
 		var victims []*Timer
 		for i := 0; i < 200; i++ {
@@ -634,7 +662,7 @@ func TestHeapCompactionPreservesOrdering(t *testing.T) {
 }
 
 func TestStopAfterCompactionIsNoop(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := NewSimulator(1, nil)
 	var timers []*Timer
 	for i := 0; i < 100; i++ {
 		timers = append(timers, sim.Schedule(time.Duration(i+1)*time.Millisecond, func() {}))

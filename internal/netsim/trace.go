@@ -4,12 +4,12 @@ package netsim
 //
 // netsim owns the hook *types* (so the simulator, links and every layer
 // above can emit without importing the collector) while internal/trace
-// owns the implementation: a per-simulator Tracer that assigns
+// owns the implementation: a per-engine Tracer that assigns
 // generation-safe packet IDs, keeps a bounded flight-recorder ring and
 // reconstructs causal chains. The split avoids an import cycle — trace
 // already imports netsim for Time and the packet decoders.
 //
-// Tracing is off by default: the simulator holds a nil Tracer and every
+// Tracing is off by default: the engine holds a nil Tracer and every
 // emission site guards with a single nil check, so the disabled cost is
 // one predictable branch per event and zero allocations (the perf gate
 // in `make perfcheck` runs with tracing disabled and must stay green).
@@ -110,14 +110,3 @@ func PackFlow(srcAddr, dstAddr, srcPort, dstPort uint16) uint64 {
 func UnpackFlow(f uint64) (srcAddr, dstAddr, srcPort, dstPort uint16) {
 	return uint16(f >> 48), uint16(f >> 32), uint16(f >> 16), uint16(f)
 }
-
-// SetTracer attaches (or with nil detaches) the simulator's tracer.
-// Attach before traffic flows; the tracer only sees events emitted
-// while attached.
-func (s *Simulator) SetTracer(t Tracer) { s.tracer = t }
-
-// Tracer returns the attached tracer, or nil when tracing is off.
-// Emission sites hold the result once per event batch:
-//
-//	if t := sim.Tracer(); t != nil { t.Emit(...) }
-func (s *Simulator) Tracer() Tracer { return s.tracer }

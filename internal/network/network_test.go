@@ -70,7 +70,7 @@ func lineEdges() []Edge {
 func converge(t *Topology, d time.Duration) { t.Sim.RunFor(d) }
 
 func TestNeighborDiscoveryAndExpiry(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	topo := BuildTopology(sim, []Edge{{A: 1, B: 2, Cost: 1}}, quickLink(), fastNeighborCfg(),
 		func() RouteComputer { return NewDistanceVector(DVConfig{}) })
 	converge(topo, 2*time.Second)
@@ -123,7 +123,7 @@ func TestE2BothComputersMatchReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
 			for trial := 0; trial < 4; trial++ {
 				edges := RandomConnectedGraph(rng, 6+trial*2, 3, 3)
-				sim := netsim.NewSimulator(int64(100 + trial))
+				sim := netsim.NewSimulator(int64(100+trial), nil)
 				topo := BuildTopology(sim, edges, quickLink(), fastNeighborCfg(), mk)
 				converge(topo, 12*time.Second)
 				ref := ReferenceDistances(edges)
@@ -150,7 +150,7 @@ func TestEndToEndDelivery(t *testing.T) {
 	for name, mk := range computers() {
 		mk := mk
 		t.Run(name, func(t *testing.T) {
-			sim := netsim.NewSimulator(5)
+			sim := netsim.NewSimulator(5, nil)
 			topo := BuildTopology(sim, lineEdges(), quickLink(), fastNeighborCfg(), mk)
 			converge(topo, 8*time.Second)
 			var got []byte
@@ -180,7 +180,7 @@ func TestReconvergenceAfterLinkFailure(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// Square with diagonal costs: 1-2, 2-4 (primary), 1-3, 3-4 (backup).
 			edges := []Edge{{A: 1, B: 2, Cost: 1}, {A: 2, B: 4, Cost: 1}, {A: 1, B: 3, Cost: 2}, {A: 3, B: 4, Cost: 2}}
-			sim := netsim.NewSimulator(9)
+			sim := netsim.NewSimulator(9, nil)
 			topo := BuildTopology(sim, edges, quickLink(), fastNeighborCfg(), mk)
 			converge(topo, 10*time.Second)
 
@@ -216,7 +216,7 @@ func TestReconvergenceAfterLinkFailure(t *testing.T) {
 // forwarding plane object is identical before and after; only the FIB
 // contents are re-installed by the new computer.
 func TestE2SwapComputerLive(t *testing.T) {
-	sim := netsim.NewSimulator(13)
+	sim := netsim.NewSimulator(13, nil)
 	topo := BuildTopology(sim, lineEdges(), quickLink(), fastNeighborCfg(),
 		func() RouteComputer { return NewDistanceVector(DVConfig{AdvertiseInterval: 500 * time.Millisecond}) })
 	converge(topo, 8*time.Second)
@@ -259,7 +259,7 @@ func TestE2SwapComputerLive(t *testing.T) {
 }
 
 func TestTTLExpiry(t *testing.T) {
-	sim := netsim.NewSimulator(3)
+	sim := netsim.NewSimulator(3, nil)
 	topo := BuildTopology(sim, lineEdges(), quickLink(), fastNeighborCfg(),
 		func() RouteComputer { return NewDistanceVector(DVConfig{AdvertiseInterval: 500 * time.Millisecond}) })
 	converge(topo, 8*time.Second)
@@ -280,7 +280,7 @@ func TestTTLExpiry(t *testing.T) {
 }
 
 func TestNoRouteError(t *testing.T) {
-	sim := netsim.NewSimulator(4)
+	sim := netsim.NewSimulator(4, nil)
 	rc := NewDistanceVector(DVConfig{})
 	r := NewRouter(sim, 1, rc, fastNeighborCfg())
 	r.Start()
@@ -293,7 +293,7 @@ func TestNoRouteError(t *testing.T) {
 }
 
 func TestLocalLoopback(t *testing.T) {
-	sim := netsim.NewSimulator(4)
+	sim := netsim.NewSimulator(4, nil)
 	r := NewRouter(sim, 1, NewDistanceVector(DVConfig{}), fastNeighborCfg())
 	var got []byte
 	r.Handle(ProtoUDP, func(dg *Datagram) { got = append([]byte(nil), dg.Payload...) })
@@ -308,7 +308,7 @@ func TestLocalLoopback(t *testing.T) {
 func TestCountToInfinityBounded(t *testing.T) {
 	// After partition, DV routes to the lost half disappear (bounded
 	// by Infinity=16) rather than oscillating forever.
-	sim := netsim.NewSimulator(6)
+	sim := netsim.NewSimulator(6, nil)
 	edges := []Edge{{A: 1, B: 2, Cost: 1}, {A: 2, B: 3, Cost: 1}}
 	topo := BuildTopology(sim, edges, quickLink(), fastNeighborCfg(),
 		func() RouteComputer { return NewDistanceVector(DVConfig{AdvertiseInterval: 300 * time.Millisecond}) })
@@ -390,10 +390,10 @@ func TestRandomConnectedGraphIsConnected(t *testing.T) {
 func TestNetworkOverDatalinkStackPort(t *testing.T) {
 	// This wiring is exercised end-to-end in the internetlab example
 	// and the E3 integration tests; here we check the Port adapters.
-	sim := netsim.NewSimulator(2)
+	sim := netsim.NewSimulator(2, nil)
 	lpA := NewLinkPort(nil)
 	lpB := NewLinkPort(nil)
-	d := sim.NewDuplex(quickLink(),
+	d := netsim.NewDuplexOn(sim, quickLink(),
 		func(p *netsim.Packet) { lpA.Deliver(p) },
 		func(p *netsim.Packet) { lpB.Deliver(p) })
 	lpA.out, lpB.out = d.AB, d.BA
@@ -407,7 +407,7 @@ func TestNetworkOverDatalinkStackPort(t *testing.T) {
 }
 
 func BenchmarkForwardDatagram(b *testing.B) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	topo := BuildTopology(sim, lineEdges(), quickLink(), fastNeighborCfg(),
 		func() RouteComputer { return NewDistanceVector(DVConfig{}) })
 	sim.RunFor(10 * time.Second)
@@ -425,7 +425,7 @@ func BenchmarkForwardDatagram(b *testing.B) {
 func BenchmarkSPF(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	edges := RandomConnectedGraph(rng, 30, 30, 4)
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	topo := BuildTopology(sim, edges, quickLink(), fastNeighborCfg(),
 		func() RouteComputer { return NewLinkState(LSConfig{}) })
 	sim.RunFor(20 * time.Second)
@@ -439,7 +439,7 @@ func BenchmarkSPF(b *testing.B) {
 // TestLSPAging: a silenced router's LSP expires from peers' databases
 // and its routes disappear, even though flooding stopped.
 func TestLSPAging(t *testing.T) {
-	sim := netsim.NewSimulator(31)
+	sim := netsim.NewSimulator(31, nil)
 	topo := BuildTopology(sim, lineEdges(), quickLink(), fastNeighborCfg(),
 		func() RouteComputer {
 			return NewLinkState(LSConfig{RefreshInterval: time.Second, MaxAge: 3 * time.Second})
@@ -463,7 +463,7 @@ func TestLSPAging(t *testing.T) {
 // TestDVGarbageCollection: poisoned routes disappear from the table
 // after the GC interval rather than lingering at Infinity forever.
 func TestDVGarbageCollection(t *testing.T) {
-	sim := netsim.NewSimulator(32)
+	sim := netsim.NewSimulator(32, nil)
 	topo := BuildTopology(sim, []Edge{{A: 1, B: 2, Cost: 1}}, quickLink(), fastNeighborCfg(),
 		func() RouteComputer {
 			return NewDistanceVector(DVConfig{
@@ -491,7 +491,7 @@ func TestDVGarbageCollection(t *testing.T) {
 // router must not panic and must start the new computer when the
 // router starts.
 func TestRouterSwapBeforeStart(t *testing.T) {
-	sim := netsim.NewSimulator(33)
+	sim := netsim.NewSimulator(33, nil)
 	r := NewRouter(sim, 1, NewDistanceVector(DVConfig{}), fastNeighborCfg())
 	r.SwapComputer(NewLinkState(LSConfig{}))
 	r.Start()

@@ -47,7 +47,7 @@ func twoLayerStack(t *testing.T, sim *netsim.Simulator) (*Stack, *prepender, *pr
 }
 
 func TestStackDownUp(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	s, _, _ := twoLayerStack(t, sim)
 	var wireData, appData []byte
 	s.SetWire(func(p *PDU) { wireData = p.Data })
@@ -66,7 +66,7 @@ func TestStackDownUp(t *testing.T) {
 func TestStackHeaderOrdering(t *testing.T) {
 	// Top layer's header must be innermost — receive path strips
 	// bottom layer first.
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	s, _, _ := twoLayerStack(t, sim)
 	var wireData []byte
 	s.SetWire(func(p *PDU) { wireData = p.Data })
@@ -77,7 +77,7 @@ func TestStackHeaderOrdering(t *testing.T) {
 }
 
 func TestStackDropsBadHeader(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	s, _, b := twoLayerStack(t, sim)
 	delivered := 0
 	s.SetApp(func(p *PDU) { delivered++ })
@@ -102,7 +102,7 @@ func TestStackDropsBadHeader(t *testing.T) {
 }
 
 func TestBoundaryCrossingCounts(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	s, _, _ := twoLayerStack(t, sim)
 	s.SetWire(func(p *PDU) {})
 	s.SetApp(func(p *PDU) {})
@@ -136,7 +136,7 @@ func TestBoundaryCrossingCounts(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	if _, err := New(sim, "empty"); err == nil {
 		t.Error("empty stack accepted")
 	}
@@ -155,7 +155,7 @@ type serviceless struct{ prepender }
 func (s *serviceless) Service() string { return "  " }
 
 func TestNewRequiresServiceT1(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	l := &serviceless{prepender{name: "svc", tag: 'S'}}
 	if _, err := New(sim, "t1", l); err == nil {
 		t.Error("sublayer without declared service accepted (T1)")
@@ -168,7 +168,7 @@ func TestMustNewPanics(t *testing.T) {
 			t.Error("MustNew did not panic")
 		}
 	}()
-	MustNew(netsim.NewSimulator(1), "bad")
+	MustNew(netsim.NewSimulator(1, nil), "bad")
 }
 
 // delayer exercises the timer path: holds each PDU for 1ms.
@@ -185,7 +185,7 @@ func (d *delayer) HandleDown(p *PDU) {
 func (d *delayer) HandleUp(p *PDU) { d.rt.DeliverUp(p) }
 
 func TestSublayerTimers(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	s := MustNew(sim, "timers", &delayer{})
 	var at netsim.Time
 	s.SetWire(func(p *PDU) { at = sim.Now() })
@@ -200,7 +200,7 @@ func TestSublayerTimers(t *testing.T) {
 }
 
 func TestTracer(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	s, _, _ := twoLayerStack(t, sim)
 	s.SetWire(func(p *PDU) {})
 	var events []string
@@ -233,7 +233,7 @@ func TestPDUClone(t *testing.T) {
 }
 
 func TestDescribe(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	s, _, _ := twoLayerStack(t, sim)
 	d := s.Describe()
 	if d == "" || !contains(d, "alpha") || !contains(d, "beta") {

@@ -78,7 +78,7 @@ func TestRecorderOverLiveTraffic(t *testing.T) {
 }
 
 func TestRecorderRingDropsOldest(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	rec := NewRecorder(sim, 3)
 	for i := 0; i < 5; i++ {
 		rec.add(Event{Len: i})
@@ -99,7 +99,7 @@ func TestRecorderRingDropsOldest(t *testing.T) {
 // keeps counting far past the retention window, the window stays at
 // the limit, and the report carries both numbers.
 func TestTotalOutlivesRing(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	rec := NewRecorder(sim, 8)
 	const n = 10_000
 	for i := 0; i < n; i++ {
@@ -128,7 +128,7 @@ func TestTotalOutlivesRing(t *testing.T) {
 // TestRecorderIsReportSource checks the Recorder renders through the
 // shared metrics report writer.
 func TestRecorderIsReportSource(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.NewSimulator(1, nil)
 	rec := NewRecorder(sim, 4)
 	rec.add(Event{Node: "n1", Summary: "HELLO from n2 cost 1", Len: 4})
 	var src metrics.Source = rec

@@ -63,14 +63,10 @@ type Sublayered struct {
 	label string
 }
 
-// NewSublayered attaches a sublayered transport to a router. Trailing
-// transport.Options pass through to the stack constructor.
-//
-// Deprecation note: prefer the single construction path harness.New
-// (or BuildWorld), which wires backend, topology and both end hosts in
-// one call; this constructor remains for tests that hand-build
-// topologies.
-func NewSublayered(sim netsim.Backend, r *network.Router, cfg sublayered.Config, opts ...transport.Option) *Sublayered {
+// newSublayered attaches a sublayered transport to a router. Trailing
+// transport.Options pass through to the stack constructor. Callers go
+// through the single construction path harness.New (or BuildWorld).
+func newSublayered(sim netsim.Backend, r *network.Router, cfg sublayered.Config, opts ...transport.Option) *Sublayered {
 	label := "sublayered"
 	if cfg.UseShim {
 		label = "sublayered+shim"
@@ -133,12 +129,9 @@ type Monolithic struct {
 	Stack *monolithic.Stack
 }
 
-// NewMonolithic attaches a monolithic transport to a router. Trailing
-// transport.Options pass through to the stack constructor.
-//
-// Deprecation note: prefer harness.New (or BuildWorld), as with
-// NewSublayered.
-func NewMonolithic(sim netsim.Backend, r *network.Router, cfg monolithic.Config, opts ...transport.Option) *Monolithic {
+// newMonolithic attaches a monolithic transport to a router, like
+// newSublayered.
+func newMonolithic(sim netsim.Backend, r *network.Router, cfg monolithic.Config, opts ...transport.Option) *Monolithic {
 	return &Monolithic{Stack: monolithic.NewStack(sim, r, cfg, opts...)}
 }
 
@@ -259,9 +252,9 @@ type WorldConfig struct {
 	// one world (default 1) — the E16 many-flow scaling shape, where a
 	// sharded backend spreads the pairs across shards. Simulator
 	// backends only.
-	Pairs  int
-	Client Kind
-	Server Kind
+	Pairs   int
+	Client  Kind
+	Server  Kind
 	Tracker *verify.Tracker // attached to both transports (E6)
 	SubCfg  sublayered.Config
 	MonoCfg monolithic.Config
@@ -400,18 +393,18 @@ func buildTransport(k Kind, sim netsim.Backend, r *network.Router, cfg WorldConf
 		mc := cfg.MonoCfg
 		mc.Tracker = tracker
 		mc.Metrics = msc
-		return NewMonolithic(sim, r, mc, cfg.Opts...)
+		return newMonolithic(sim, r, mc, cfg.Opts...)
 	case KindSublayeredShim:
 		sc := cfg.SubCfg
 		sc.UseShim = true
 		sc.Tracker = tracker
 		sc.Metrics = msc
-		return NewSublayered(sim, r, sc, cfg.Opts...)
+		return newSublayered(sim, r, sc, cfg.Opts...)
 	default:
 		sc := cfg.SubCfg
 		sc.Tracker = tracker
 		sc.Metrics = msc
-		return NewSublayered(sim, r, sc, cfg.Opts...)
+		return newSublayered(sim, r, sc, cfg.Opts...)
 	}
 }
 

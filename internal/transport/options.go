@@ -6,11 +6,9 @@ import (
 )
 
 // Options is the one shared functional-option set for world and stack
-// construction. It used to be three: netsim grew WithMetrics(registry),
-// datalink grew its own WithMetrics, and the transports grew
-// CC/metrics/tracer plumbing — all folded here so callers configure
-// any backend, any stack, or a whole harness.New world with the same
-// literals. Stack constructors accept them variadically:
+// construction, so callers configure any stack, or a whole harness.New
+// world, with the same literals. Stack constructors accept them
+// variadically:
 //
 //	sublayered.NewStack(sim, r, cfg, transport.WithCC("cubic"))
 //	monolithic.NewStack(sim, r, cfg, transport.WithCC("cubic"))

@@ -15,7 +15,7 @@ import (
 // marking makes the receiver echo ECE and the sender's congestion
 // control react — fewer queue drops than pure tail-drop would force.
 func TestECNBottleneckReaction(t *testing.T) {
-	sim := netsim.NewSimulator(23)
+	sim := netsim.NewSimulator(23, nil)
 	// Host 1 — bottleneck — host 3. The middle link is slow, shallow
 	// and ECN-marking.
 	edges := []network.Edge{{A: 1, B: 2, Cost: 1}, {A: 2, B: 3, Cost: 1}}

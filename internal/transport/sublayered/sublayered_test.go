@@ -26,7 +26,7 @@ type world struct {
 
 func newWorld(t testing.TB, seed int64, link netsim.LinkConfig, ccfg, scfg Config) *world {
 	t.Helper()
-	sim := netsim.NewSimulator(seed)
+	sim := netsim.NewSimulator(seed, nil)
 	edges := []network.Edge{{A: 1, B: 2, Cost: 1}, {A: 2, B: 3, Cost: 1}, {A: 3, B: 4, Cost: 1}}
 	topo := network.BuildTopology(sim, edges, link,
 		network.NeighborConfig{HelloInterval: 200 * time.Millisecond},
