@@ -25,8 +25,12 @@ race-shard:
 	$(GO) test -race -run Sharded ./internal/netsim ./internal/transport/harness ./internal/workload
 	$(GO) run -race ./cmd/runreport -backend sharded:4 -o /dev/null
 
+# vet runs go vet and then fails if gofmt would rewrite any file.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need gofmt -w:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # lint runs staticcheck when it is on PATH (CI installs the pinned
 # $(STATICCHECK_VERSION)); locally it degrades to a notice instead of

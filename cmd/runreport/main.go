@@ -2,7 +2,7 @@
 // machine-readable run report: per-experiment tables plus the merged
 // metrics snapshot of every simulated world — simulator and link
 // counters, datalink ARQ/MAC, routing and forwarding, and both
-// transport stacks down to per-connection sublayer scopes.
+// transport stacks down to per-sublayer connection totals.
 //
 //	go run ./cmd/runreport                 # writes BENCH_metrics.json
 //	go run ./cmd/runreport -o - -format text

@@ -79,7 +79,7 @@ func chaosScenarios() []chaosScenario {
 }
 
 // sumSuffix totals every counter in the snapshot whose name ends in
-// "/"+leaf (e.g. all per-connection and stack-wide abort counters).
+// "/"+leaf (e.g. every stack's abort counter, in both stack kinds).
 func sumSuffix(snap metrics.Snapshot, leaf string) uint64 {
 	var total uint64
 	suffix := "/" + leaf

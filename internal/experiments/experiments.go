@@ -24,7 +24,7 @@ type Result struct {
 	Notes []string `json:"notes,omitempty"`
 	// Metrics is the merged registry snapshot of the experiment's
 	// simulated worlds, one name prefix per scenario (e.g.
-	// "loss05/n1/transport/conn0/rd/retransmits").
+	// "loss05/n1/transport/rd/retransmits").
 	Metrics metrics.Snapshot `json:"metrics"`
 }
 

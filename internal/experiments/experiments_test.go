@@ -286,7 +286,7 @@ func TestMetricsDeterministicTransport(t *testing.T) {
 	if len(a.Metrics.Samples) == 0 {
 		t.Fatal("E9 attached no metrics")
 	}
-	if _, ok := a.Metrics.Get("n1/transport/conn0/rd/rtt_ms"); !ok {
+	if _, ok := a.Metrics.Get("n1/transport/rd/rtt_ms"); !ok {
 		t.Error("snapshot missing client RD RTT histogram")
 	}
 	if !bytes.Equal(a.Metrics.JSON(), b.Metrics.JSON()) {

@@ -13,14 +13,17 @@
 //     counters as ordinary fields (the single source of truth) and a
 //     Scope adopts pointers to them under hierarchical names. The old
 //     per-package Stats() snapshot structs are replaced by View maps
-//     built from the same fields.
+//     built from the same fields. Short-lived objects are not
+//     registered one by one: their owner registers a CounterFunc per
+//     name that sums them, so the number of series follows the
+//     topology, not the traffic.
 //   - Snapshots are deterministic. Samples are sorted by name and hold
 //     only plain integers, so two runs of the same seeded simulation
 //     marshal to byte-identical JSON.
 package metrics
 
 // Instrument is the closed set of metric kinds a Registry can hold:
-// *Counter, *Gauge, *Histogram and CounterSum.
+// *Counter, *Gauge, *Histogram, CounterSum and CounterFunc.
 type Instrument interface {
 	sample(name string) Sample
 }
@@ -61,6 +64,18 @@ func (s CounterSum) Value() uint64 {
 
 func (s CounterSum) sample(name string) Sample {
 	return Sample{Name: name, Kind: KindCounter, Value: int64(s.Value())}
+}
+
+// CounterFunc is a counter computed when the snapshot is taken. A
+// component whose counts live in many short-lived objects registers
+// one CounterFunc per name instead of one series per object, so the
+// registry's size is bounded by the component count. The function runs
+// under the registry lock while the writers are quiescent; it must not
+// touch the registry.
+type CounterFunc func() uint64
+
+func (f CounterFunc) sample(name string) Sample {
+	return Sample{Name: name, Kind: KindCounter, Value: int64(f())}
 }
 
 // Gauge is an instantaneous int64 level (queue depth, window size).

@@ -163,3 +163,25 @@ func TestWriteReport(t *testing.T) {
 		t.Fatalf("text report missing section header: %q", buf.String())
 	}
 }
+
+func TestCounterFuncSampledAtSnapshot(t *testing.T) {
+	r := New()
+	var parts [3]Counter
+	r.Scope("n1").Register("total", CounterFunc(func() uint64 {
+		var sum uint64
+		for i := range parts {
+			sum += parts[i].Value()
+		}
+		return sum
+	}))
+	parts[0].Add(2)
+	parts[2].Inc()
+	s, ok := r.Snapshot().Get("n1/total")
+	if !ok || s.Kind != KindCounter || s.Value != 3 {
+		t.Fatalf("sample = %+v (found %v), want counter 3", s, ok)
+	}
+	parts[1].Add(4)
+	if v := r.Snapshot().Value("n1/total"); v != 7 {
+		t.Errorf("second snapshot = %d, want 7", v)
+	}
+}

@@ -9,9 +9,9 @@ import (
 
 // Registry holds instruments under unique hierarchical names. The
 // name table is mutex-guarded because registration can happen from
-// concurrent shard workers (a transport connection registers its
-// scope when the SYN arrives, and two shards may accept connections
-// inside the same lookahead window). The instruments themselves stay
+// concurrent shard workers (a transport stack registers its connection
+// totals when its first connection opens, and two shards may open
+// connections inside the same lookahead window). The instruments themselves stay
 // lock-free: each has a single writer (its owning node's shard), and
 // snapshots are only taken while the workers are quiescent.
 type Registry struct {

@@ -31,7 +31,7 @@ func (s *Stack) tcpInput(dg *network.Datagram) {
 	if h.Flags&tcpwire.FlagSYN != 0 && h.Flags&tcpwire.FlagACK == 0 {
 		if l, ok := s.listeners[h.DstPort]; ok {
 			p := s.newPCB(id)
-			s.pcbs[id] = p
+			s.addPCB(p)
 			p.state = stSynRcvd
 			p.irs = seg.Seq(h.Seq)
 			p.rcvNxt = p.irs.Add(1)

@@ -451,3 +451,36 @@ func TestCCSwapCompletesTransfer(t *testing.T) {
 		})
 	}
 }
+
+// TestEphemeralPortExhaustionAndReuse dials until all 16,384 ephemeral
+// ports are held, expects Dial's explicit error for the next one, and
+// checks that a port is handed out again once its PCB is gone.
+func TestEphemeralPortExhaustionAndReuse(t *testing.T) {
+	w := newWorld(t, 21, cleanLink(), Config{}, Config{})
+	seen := make(map[uint16]bool)
+	var pcbs []*PCB
+	for i := 0; i < 1<<14; i++ {
+		p, err := w.client.Dial(4, 9999)
+		if err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		port := p.LocalPort()
+		if port < 49152 || seen[port] {
+			t.Fatalf("dial %d: port %d outside the range or reused", i, port)
+		}
+		seen[port] = true
+		pcbs = append(pcbs, p)
+	}
+	if _, err := w.client.Dial(4, 9999); err == nil || !strings.Contains(err.Error(), "no free ports") {
+		t.Fatalf("dial past exhaustion: err = %v, want the no-free-ports error", err)
+	}
+	freed := pcbs[1234]
+	freed.Abort()
+	p, err := w.client.Dial(4, 9999)
+	if err != nil {
+		t.Fatalf("dial after a port was freed: %v", err)
+	}
+	if p.LocalPort() != freed.LocalPort() {
+		t.Errorf("got port %d, want the freed port %d", p.LocalPort(), freed.LocalPort())
+	}
+}

@@ -328,7 +328,7 @@ func (p *PCB) kill(err error) {
 		p.trace("abort", verdict, p.lastXmitID, uint32(p.sndUna), 0)
 	}
 	p.stopRexmit()
-	delete(p.stack.pcbs, p.id)
+	p.stack.removePCB(p.id)
 	if p.OnClosed != nil {
 		p.OnClosed(err)
 	}

@@ -162,8 +162,11 @@ type Stack struct {
 	cfg       Config
 	pcbs      map[connID]*PCB
 	listeners map[uint16]*Listener
-	nextPort  uint16
-	m         tcpMetrics
+	// portUse counts the entries of pcbs on each local port, so
+	// allocPort tests a port without scanning the table.
+	portUse  map[uint16]int
+	nextPort uint16
+	m        tcpMetrics
 	// traceName labels this stack's causal-trace events ("n1/mono").
 	traceName string
 
@@ -207,6 +210,7 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config, opts ...tr
 		cfg:       cfg.withDefaults(),
 		pcbs:      make(map[connID]*PCB),
 		listeners: make(map[uint16]*Listener),
+		portUse:   make(map[uint16]int),
 		nextPort:  49152,
 		traceName: router.Addr().String() + "/mono",
 	}
@@ -289,9 +293,9 @@ type PCB struct {
 	rexmitFn  func() // cached callbacks; re-arming allocates nothing
 	persistFn func()
 	nrexmit   int
-	timing   bool
-	timedEnd seg.Seq
-	timedAt  netsim.Time
+	timing    bool
+	timedEnd  seg.Seq
+	timedAt   netsim.Time
 
 	// Teardown.
 	closed    bool // application closed the write side
@@ -390,7 +394,7 @@ func (s *Stack) Dial(dst network.Addr, dstPort uint16) (*PCB, error) {
 		return nil, fmt.Errorf("monolithic: no free ports")
 	}
 	p := s.newPCB(connID{remoteAddr: dst, remotePort: dstPort, localPort: local})
-	s.pcbs[p.id] = p
+	s.addPCB(p)
 	p.state = stSynSent
 	p.iss = seg.Seq(uint32(int64(s.sim.Now())/4000) ^ uint32(local)<<16)
 	p.sndUna = p.iss
@@ -407,30 +411,37 @@ func (s *Stack) allocPort() uint16 {
 		if s.nextPort == 0 {
 			s.nextPort = 49152
 		}
-		busy := false
-		for id := range s.pcbs {
-			if id.localPort == port {
-				busy = true
-				break
-			}
-		}
-		if _, lb := s.listeners[port]; !busy && !lb {
+		if _, lb := s.listeners[port]; s.portUse[port] == 0 && !lb {
 			return port
 		}
 	}
 	return 0
 }
 
+// addPCB enters p into the demux table.
+func (s *Stack) addPCB(p *PCB) {
+	s.pcbs[p.id] = p
+	s.portUse[p.id.localPort]++
+}
+
+// removePCB deletes a dead PCB from the demux table.
+func (s *Stack) removePCB(id connID) {
+	if _, ok := s.pcbs[id]; ok {
+		delete(s.pcbs, id)
+		s.portUse[id.localPort]--
+	}
+}
+
 func (s *Stack) newPCB(id connID) *PCB {
 	p := &PCB{
-		stack:    s,
-		id:       id,
-		state:    stClosed,
-		cc:       ccontrol.MustNew(s.cfg.CC, ccontrol.Config{MSS: s.cfg.MSS}),
-		sndWnd:   s.cfg.MSS,
-		sndBuf:   seg.NewSendBuffer(s.cfg.SendBuf),
-		reasm:    seg.NewReassembly(s.cfg.RecvBuf),
-		rtt:      seg.NewRTTEstimator(time.Second, 200*time.Millisecond, 60*time.Second),
+		stack:  s,
+		id:     id,
+		state:  stClosed,
+		cc:     ccontrol.MustNew(s.cfg.CC, ccontrol.Config{MSS: s.cfg.MSS}),
+		sndWnd: s.cfg.MSS,
+		sndBuf: seg.NewSendBuffer(s.cfg.SendBuf),
+		reasm:  seg.NewReassembly(s.cfg.RecvBuf),
+		rtt:    seg.NewRTTEstimator(time.Second, 200*time.Millisecond, 60*time.Second),
 	}
 	p.rexmitFn = p.onRexmitTimer
 	p.persistFn = p.onPersistTimer

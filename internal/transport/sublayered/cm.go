@@ -147,12 +147,12 @@ type cmMetrics struct {
 	resets                  metrics.Counter
 }
 
-func (m *cmMetrics) bind(sc *metrics.Scope) {
-	sc.Register("syn_sent", &m.synSent)
-	sc.Register("syn_retransmits", &m.synRetransmits)
-	sc.Register("fin_sent", &m.finSent)
-	sc.Register("fin_retransmits", &m.finRetransmits)
-	sc.Register("resets", &m.resets)
+func (m *cmMetrics) bind(r registrar) {
+	r.Register("syn_sent", &m.synSent)
+	r.Register("syn_retransmits", &m.synRetransmits)
+	r.Register("fin_sent", &m.finSent)
+	r.Register("fin_retransmits", &m.finRetransmits)
+	r.Register("resets", &m.resets)
 }
 
 func (m *cmMetrics) view() metrics.View {
@@ -189,9 +189,6 @@ func (m *HandshakeCM) Name() string { return "handshake(" + m.gen.Name() + ")" }
 
 // Stats returns a snapshot of the CM counters.
 func (m *HandshakeCM) Stats() metrics.View { return m.m.view() }
-
-// BindMetrics adopts the CM counters into sc (metrics.Instrumented).
-func (m *HandshakeCM) BindMetrics(sc *metrics.Scope) { m.m.bind(sc) }
 
 func (m *HandshakeCM) attach(c *Conn) { m.conn = c }
 

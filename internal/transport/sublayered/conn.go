@@ -88,19 +88,18 @@ type Crossings struct {
 	FromDM     metrics.Counter // segments demultiplexed up
 }
 
-// bind adopts the boundary counters into sc, named after the Fig. 5
-// edges they sit on.
-func (x *Crossings) bind(sc *metrics.Scope) {
-	sc.Register("app_to_osr", &x.AppToOSR)
-	sc.Register("app_bytes", &x.AppBytes)
-	sc.Register("osr_to_rd", &x.OSRToRD)
-	sc.Register("osr_bytes", &x.OSRBytes)
-	sc.Register("rd_to_osr_ack", &x.RDToOSRAck)
-	sc.Register("rd_to_osr_dat", &x.RDToOSRDat)
-	sc.Register("rd_to_osr_los", &x.RDToOSRLos)
-	sc.Register("cm_to_rd", &x.CMToRD)
-	sc.Register("to_dm", &x.ToDM)
-	sc.Register("from_dm", &x.FromDM)
+// bind names the boundary counters after the Fig. 5 edges they sit on.
+func (x *Crossings) bind(r registrar) {
+	r.Register("app_to_osr", &x.AppToOSR)
+	r.Register("app_bytes", &x.AppBytes)
+	r.Register("osr_to_rd", &x.OSRToRD)
+	r.Register("osr_bytes", &x.OSRBytes)
+	r.Register("rd_to_osr_ack", &x.RDToOSRAck)
+	r.Register("rd_to_osr_dat", &x.RDToOSRDat)
+	r.Register("rd_to_osr_los", &x.RDToOSRLos)
+	r.Register("cm_to_rd", &x.CMToRD)
+	r.Register("to_dm", &x.ToDM)
+	r.Register("from_dm", &x.FromDM)
 }
 
 // CrossingStats returns a snapshot of the boundary counters.
@@ -316,7 +315,120 @@ func (c *Conn) destroy(err error) {
 	c.rd.stop()
 	c.osr.stop()
 	c.stack.dm.remove(c.id)
+	c.stack.totals.retire(c)
 	if c.OnClosed != nil {
 		c.OnClosed(err)
+	}
+}
+
+// registrar adopts counters under names. Each per-connection counter
+// group (Crossings, rdMetrics, osrMetrics, cmMetrics) lists its names
+// once, in its bind method; the stack's totals walk those methods to
+// name the series, to retire a dying connection and to sum the live
+// ones, always in bind order.
+type registrar interface {
+	Register(name string, in metrics.Instrument)
+}
+
+const numConnGroups = 4
+
+// counterGroup is one connection's counters under one scope name.
+type counterGroup interface{ bind(r registrar) }
+
+// connGroups are the per-connection counter groups a stack exports as
+// totals. of returns nil when the connection has no such group (a
+// connection manager without counters).
+var connGroups = [numConnGroups]struct {
+	scope string
+	of    func(c *Conn) counterGroup
+}{
+	{"crossings", func(c *Conn) counterGroup { return &c.crossings }},
+	{"rd", func(c *Conn) counterGroup { return &c.rd.m }},
+	{"osr", func(c *Conn) counterGroup { return &c.osr.m }},
+	{"cm", func(c *Conn) counterGroup {
+		if h, ok := c.cm.(*HandshakeCM); ok {
+			return &h.m
+		}
+		return nil
+	}},
+}
+
+// connTotals exports a stack's connection counters as one series per
+// name, "<group>/<name>", whatever the number of connections: each is
+// the count of the destroyed connections plus the sum over the live
+// ones in the demux table. Per-connection values stay on the
+// connection (Stats, CrossingStats). Nothing is exported until export
+// runs, and then retire and the sums cost one pass over a group's
+// counters per connection.
+type connTotals struct {
+	stack    *Stack
+	exported bool
+	// retired[g][i] sums the i-th counter (bind order) of group g over
+	// destroyed connections; nil for a group that was not exported.
+	retired [numConnGroups][]uint64
+	// walk is the adder add reuses, so retiring allocates nothing.
+	walk adder
+}
+
+// adder is a registrar that adds the i-th counter it sees to sums[i].
+type adder struct {
+	n    int
+	sums []uint64
+}
+
+func (a *adder) Register(_ string, in metrics.Instrument) {
+	a.sums[a.n] += in.(*metrics.Counter).Value()
+	a.n++
+}
+
+// add adds c's counters of group g into sums.
+func (t *connTotals) add(c *Conn, g int, sums []uint64) {
+	if grp := connGroups[g].of(c); grp != nil {
+		t.walk = adder{sums: sums}
+		grp.bind(&t.walk)
+	}
+}
+
+// export registers the totals under sc, naming them after first's
+// groups, together with the stack's RTT histogram ("rd/rtt_ms").
+func (t *connTotals) export(sc *metrics.Scope, first *Conn) {
+	t.exported = true
+	for g, grp := range connGroups {
+		if b := grp.of(first); b != nil {
+			b.bind(totalNamer{t: t, g: g, sc: sc.Sub(grp.scope)})
+		}
+	}
+	sc.Register("rd/rtt_ms", t.stack.rttMs)
+}
+
+// totalNamer registers one CounterFunc per name a group binds.
+type totalNamer struct {
+	t  *connTotals
+	g  int
+	sc *metrics.Scope
+}
+
+func (n totalNamer) Register(name string, _ metrics.Instrument) {
+	t, g, i := n.t, n.g, len(n.t.retired[n.g])
+	t.retired[g] = append(t.retired[g], 0)
+	n.sc.Register(name, metrics.CounterFunc(func() uint64 { return t.total(g, i) }))
+}
+
+// total is the i-th counter of group g summed over every connection the
+// stack has had.
+func (t *connTotals) total(g, i int) uint64 {
+	sums := append([]uint64(nil), t.retired[g]...)
+	for _, c := range t.stack.dm.conns {
+		t.add(c, g, sums)
+	}
+	return sums[i]
+}
+
+// retire folds a destroyed connection's counters into the totals.
+func (t *connTotals) retire(c *Conn) {
+	for g, sums := range t.retired {
+		if sums != nil {
+			t.add(c, g, sums)
+		}
 	}
 }

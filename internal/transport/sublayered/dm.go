@@ -60,9 +60,10 @@ type Config struct {
 	// CM tuning shared by default managers.
 	CMConfig CMConfig
 	// Metrics, when non-nil, adopts the stack's instruments under this
-	// scope: "dm/..." for the demultiplexer and "conn<n>/<sublayer>/..."
-	// per connection, numbered in creation order. A nil scope costs
-	// nothing (instruments stay detached).
+	// scope: "dm/..." for the demultiplexer and, once the first
+	// connection exists, "<sublayer>/..." totals over all connections
+	// (see Stack.BindMetrics). A nil scope costs nothing (instruments
+	// stay detached).
 	Metrics *metrics.Scope
 }
 
@@ -135,7 +136,10 @@ type DM struct {
 	stack     *Stack
 	listeners map[uint16]*Listener
 	conns     map[connID]*Conn
-	nextPort  uint16
+	// portUse counts the entries of conns on each local port, so
+	// allocPort tests a port without scanning the table.
+	portUse  map[uint16]int
+	nextPort uint16
 	// rxHdr is the scratch header every native-mode segment is parsed
 	// into: the receive path is single-threaded (one event at a time)
 	// and nothing below retains the header across events, so one
@@ -163,12 +167,16 @@ func (l *Listener) Port() uint16 { return l.port }
 // Stack is one host's sublayered transport: a DM instance bound to a
 // router, creating four-sublayer Conns.
 type Stack struct {
-	sim     netsim.Backend
-	router  *network.Router
-	cfg     Config
-	dm      *DM
-	shim    *tcpwire.Shim
-	connSeq int
+	sim    netsim.Backend
+	router *network.Router
+	cfg    Config
+	dm     *DM
+	shim   *tcpwire.Shim
+	// rttMs is the distribution (milliseconds) of every connection's
+	// Karn-valid RTT samples. All of a stack's connections run on its
+	// node, so the histogram has a single writer.
+	rttMs  *metrics.Histogram
+	totals connTotals
 	// traceName labels this stack's causal-trace events ("n1/sub").
 	traceName string
 }
@@ -191,11 +199,14 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config, opts ...tr
 		sim.SetTracer(o.Tracer)
 	}
 	s := &Stack{sim: sim, router: router, cfg: cfg.withDefaults(),
+		rttMs:     metrics.NewHistogram(rttBoundsMs...),
 		traceName: router.Addr().String() + "/sub"}
+	s.totals.stack = s
 	s.dm = &DM{
 		stack:     s,
 		listeners: make(map[uint16]*Listener),
 		conns:     make(map[connID]*Conn),
+		portUse:   make(map[uint16]int),
 		nextPort:  49152,
 	}
 	if s.cfg.UseShim {
@@ -208,10 +219,16 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config, opts ...tr
 	return s
 }
 
-// BindMetrics adopts the stack's instruments under sc ("dm/...",
-// "shim/..." and "conn<n>/..." for subsequently created connections).
-// Equivalent to constructing with Config.Metrics; call at most once
-// with a non-nil scope, before any connection exists.
+// BindMetrics adopts the stack's instruments under sc: "dm/..." and
+// "shim/..." at once and, when the first connection is created, one
+// series per connection counter, "{crossings,rd,osr,cm}/<name>",
+// holding the sum over every connection the stack has had, plus the
+// stack's "rd/rtt_ms" histogram. The series count is bounded by the
+// topology, not by the number of connections; per-connection values
+// stay on the connection (RD.Stats, OSR.Stats, HandshakeCM.Stats,
+// Conn.CrossingStats). Equivalent to constructing with Config.Metrics;
+// call at most once with a non-nil scope, before any connection
+// exists.
 func (s *Stack) BindMetrics(sc *metrics.Scope) {
 	if sc == nil {
 		return
@@ -269,7 +286,7 @@ func (s *Stack) Dial(dstAddr network.Addr, dstPort uint16) (*Conn, error) {
 		SrcAddr: uint16(s.router.Addr()), DstAddr: uint16(dstAddr),
 		SrcPort: local, DstPort: dstPort,
 	})
-	s.dm.conns[c.id] = c
+	s.dm.add(c)
 	c.cm.open(true, nil)
 	return c, nil
 }
@@ -289,15 +306,11 @@ func (s *Stack) newConn(key tcpwire.FlowKey) *Conn {
 	c.cm.attach(c)
 	c.rd = newRD(c, s.cfg.NativeSACK || s.cfg.UseShim, s.cfg.DelayedAcks)
 	c.osr = newOSR(c, s.cfg.NewCC(s.cfg.MSS), s.cfg.MSS, s.cfg.SendBuf, s.cfg.RecvBuf)
-	// The sequence number advances whether or not a registry is
-	// attached, so metric names are stable across configurations.
-	sc := s.cfg.Metrics.Sub(fmt.Sprintf("conn%d", s.connSeq))
-	s.connSeq++
-	c.crossings.bind(sc.Sub("crossings"))
-	c.rd.bindMetrics(sc.Sub("rd"))
-	c.osr.bindMetrics(sc.Sub("osr"))
-	if in, ok := c.cm.(metrics.Instrumented); ok {
-		in.BindMetrics(sc.Sub("cm"))
+	// The totals are registered with the first connection, not with the
+	// stack: a stack that never connects exports no connection series,
+	// and building a world registers nothing per stack beyond dm/shim.
+	if s.cfg.Metrics != nil && !s.totals.exported {
+		s.totals.export(s.cfg.Metrics, c)
 	}
 	return c
 }
@@ -333,14 +346,7 @@ func (d *DM) allocPort() uint16 {
 		if d.nextPort == 0 {
 			d.nextPort = 49152
 		}
-		busy := false
-		for id := range d.conns {
-			if id.localPort == p {
-				busy = true
-				break
-			}
-		}
-		if _, lb := d.listeners[p]; !busy && !lb {
+		if _, lb := d.listeners[p]; d.portUse[p] == 0 && !lb {
 			return p
 		}
 	}
@@ -396,7 +402,7 @@ func (d *DM) receive(dg *network.Datagram) {
 				return
 			}
 			d.m.newPassive.Inc()
-			d.conns[id] = c
+			d.add(c)
 			l.accepted = append(l.accepted, c)
 			if l.OnAccept != nil {
 				l.OnAccept(c)
@@ -479,9 +485,19 @@ func packFlow(key tcpwire.FlowKey) uint64 {
 	return netsim.PackFlow(key.SrcAddr, key.DstAddr, key.SrcPort, key.DstPort)
 }
 
-// remove deletes a dead connection from the demux table.
+// add enters a connection into the demux table.
+func (d *DM) add(c *Conn) {
+	d.conns[c.id] = c
+	d.portUse[c.id.localPort]++
+}
+
+// remove deletes a dead connection from the demux table. A passive
+// open the connection manager rejected was never entered.
 func (d *DM) remove(id connID) {
-	delete(d.conns, id)
+	if _, ok := d.conns[id]; ok {
+		delete(d.conns, id)
+		d.portUse[id.localPort]--
+	}
 }
 
 // Conns returns the live connection count (tests).

@@ -65,13 +65,13 @@ type osrMetrics struct {
 	ecnReactions     metrics.Counter
 }
 
-func (m *osrMetrics) bind(sc *metrics.Scope) {
-	sc.Register("segments_ready", &m.segmentsReady)
-	sc.Register("bytes_segmented", &m.bytesSegmented)
-	sc.Register("bytes_reassembled", &m.bytesReassembled)
-	sc.Register("window_stalls", &m.windowStalls)
-	sc.Register("zero_window_probes", &m.zeroWindowProbes)
-	sc.Register("ecn_reactions", &m.ecnReactions)
+func (m *osrMetrics) bind(r registrar) {
+	r.Register("segments_ready", &m.segmentsReady)
+	r.Register("bytes_segmented", &m.bytesSegmented)
+	r.Register("bytes_reassembled", &m.bytesReassembled)
+	r.Register("window_stalls", &m.windowStalls)
+	r.Register("zero_window_probes", &m.zeroWindowProbes)
+	r.Register("ecn_reactions", &m.ecnReactions)
 }
 
 func (m *osrMetrics) view() metrics.View {
@@ -123,9 +123,6 @@ func newOSR(c *Conn, cc CongestionControl, mss, sendBuf, recvBuf int) *OSR {
 
 // Stats returns a snapshot of the OSR counters.
 func (o *OSR) Stats() metrics.View { return o.m.view() }
-
-// bindMetrics adopts OSR's instruments into sc.
-func (o *OSR) bindMetrics(sc *metrics.Scope) { o.m.bind(sc) }
 
 // CC exposes the congestion controller (read-only use: stats, E8).
 func (o *OSR) CC() CongestionControl { return o.cc }

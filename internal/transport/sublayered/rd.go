@@ -85,9 +85,9 @@ type RD struct {
 	m rdMetrics
 }
 
-// rdMetrics instruments reliable-delivery events. The RTT histogram
-// (milliseconds) records the Karn-valid samples that also feed the RTO
-// estimator.
+// rdMetrics instruments reliable-delivery events. rttSamples counts
+// the Karn-valid RTT samples that also feed the RTO estimator; their
+// distribution goes to the stack's RTT histogram.
 type rdMetrics struct {
 	segmentsSent    metrics.Counter
 	retransmits     metrics.Counter
@@ -97,22 +97,21 @@ type rdMetrics struct {
 	dupSegments     metrics.Counter
 	deliveredBytes  metrics.Counter
 	aborts          metrics.Counter
-	rttMs           *metrics.Histogram
+	rttSamples      metrics.Counter
 }
 
 // rttBoundsMs buckets RTT samples from LAN-ish to badly congested.
 var rttBoundsMs = []int64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
 
-func (m *rdMetrics) bind(sc *metrics.Scope) {
-	sc.Register("segments_sent", &m.segmentsSent)
-	sc.Register("retransmits", &m.retransmits)
-	sc.Register("fast_retransmits", &m.fastRetransmits)
-	sc.Register("timeouts", &m.timeouts)
-	sc.Register("acks_sent", &m.acksSent)
-	sc.Register("dup_segments", &m.dupSegments)
-	sc.Register("delivered_bytes", &m.deliveredBytes)
-	sc.Register("aborts", &m.aborts)
-	sc.Register("rtt_ms", m.rttMs)
+func (m *rdMetrics) bind(r registrar) {
+	r.Register("segments_sent", &m.segmentsSent)
+	r.Register("retransmits", &m.retransmits)
+	r.Register("fast_retransmits", &m.fastRetransmits)
+	r.Register("timeouts", &m.timeouts)
+	r.Register("acks_sent", &m.acksSent)
+	r.Register("dup_segments", &m.dupSegments)
+	r.Register("delivered_bytes", &m.deliveredBytes)
+	r.Register("aborts", &m.aborts)
 }
 
 func (m *rdMetrics) view() metrics.View {
@@ -125,7 +124,7 @@ func (m *rdMetrics) view() metrics.View {
 		"dup_segments":     m.dupSegments.Value(),
 		"delivered_bytes":  m.deliveredBytes.Value(),
 		"aborts":           m.aborts.Value(),
-		"rtt_samples":      m.rttMs.Count(),
+		"rtt_samples":      m.rttSamples.Value(),
 	}
 }
 
@@ -149,7 +148,6 @@ func newRD(c *Conn, sackEnabled, delayedAcks bool) *RD {
 		maxRexmit:   c.stack.cfg.MaxDataRexmit,
 		rtt:         seg.NewRTTEstimator(time.Second, 200*time.Millisecond, 60*time.Second),
 	}
-	r.m.rttMs = metrics.NewHistogram(rttBoundsMs...)
 	r.rtoFn = func() {
 		if !c.dead {
 			r.onRTO()
@@ -165,12 +163,6 @@ func newRD(c *Conn, sackEnabled, delayedAcks bool) *RD {
 
 // Stats returns a snapshot of the RD counters.
 func (r *RD) Stats() metrics.View { return r.m.view() }
-
-// RTTHistogram exposes the Karn-valid RTT sample distribution.
-func (r *RD) RTTHistogram() *metrics.Histogram { return r.m.rttMs }
-
-// bindMetrics adopts RD's instruments into sc.
-func (r *RD) bindMetrics(sc *metrics.Scope) { r.m.bind(sc) }
 
 // Established is CM's service delivered: a pair of ISNs "not present in
 // the network so that segments and acks can be trusted as not being
@@ -354,7 +346,8 @@ func (r *RD) onAck(ack seg.Seq, sack [][2]uint32, hadPayload bool) {
 		r.rtoStreak = 0 // forward progress resets the user timeout
 		if rttSample > 0 {
 			r.rtt.Sample(rttSample)
-			r.m.rttMs.Observe(rttSample.Milliseconds())
+			r.m.rttSamples.Inc()
+			r.conn.stack.rttMs.Observe(rttSample.Milliseconds())
 		}
 		switch {
 		case r.inRecovery && ack.Less(r.recover):

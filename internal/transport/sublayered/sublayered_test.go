@@ -713,3 +713,36 @@ func TestContractsLocalizeInjectedBug(t *testing.T) {
 		t.Fatal("injected OSR bug not caught by OSR's contract")
 	}
 }
+
+// TestEphemeralPortExhaustionAndReuse dials until all 16,384 ephemeral
+// ports are held, expects Dial's explicit error for the next one, and
+// checks that a port is handed out again once its connection is gone.
+func TestEphemeralPortExhaustionAndReuse(t *testing.T) {
+	w := newWorld(t, 21, cleanLink(), Config{}, Config{})
+	seen := make(map[uint16]bool)
+	var conns []*Conn
+	for i := 0; i < 1<<14; i++ {
+		c, err := w.client.Dial(4, 9999)
+		if err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		p := c.LocalPort()
+		if p < 49152 || seen[p] {
+			t.Fatalf("dial %d: port %d outside the range or reused", i, p)
+		}
+		seen[p] = true
+		conns = append(conns, c)
+	}
+	if _, err := w.client.Dial(4, 9999); err == nil || !strings.Contains(err.Error(), "no free ephemeral ports") {
+		t.Fatalf("dial past exhaustion: err = %v, want the no-free-ports error", err)
+	}
+	freed := conns[1234]
+	freed.Abort()
+	c, err := w.client.Dial(4, 9999)
+	if err != nil {
+		t.Fatalf("dial after a port was freed: %v", err)
+	}
+	if c.LocalPort() != freed.LocalPort() {
+		t.Errorf("got port %d, want the freed port %d", c.LocalPort(), freed.LocalPort())
+	}
+}

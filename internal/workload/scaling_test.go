@@ -35,6 +35,21 @@ func TestScalingMatrixIdentity(t *testing.T) {
 	}
 }
 
+// TestRegistrySizeIndependentOfFlows pins metric cardinality to the
+// topology: the E16 world registers the same series whether it carries
+// 100 or 1,000 flows, because each stack exports connection totals
+// rather than one scope per connection.
+func TestRegistrySizeIndependentOfFlows(t *testing.T) {
+	small := Run(ScalingConfig(5, "sim", 100))
+	large := Run(ScalingConfig(5, "sim", 1000))
+	if small.Completed != 100 || large.Completed != 1000 {
+		t.Fatalf("completed %d/100 and %d/1000", small.Completed, large.Completed)
+	}
+	if a, b := len(small.Metrics.Samples), len(large.Metrics.Samples); a != b {
+		t.Errorf("%d series at 100 flows, %d at 1000", a, b)
+	}
+}
+
 // TestScalingLongSoak is the weekly 100k-flow soak (make soak-long):
 // the full long axis through every backend with byte-identity
 // asserted per flow count. It is double-gated — the per-PR pipeline
