@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build test race race-shard vet lint docs fuzz fuzz-pool fuzz-schedule bench soak overlay-soak soak-long verify report perf perfcheck determinism pardet examples clean
+.PHONY: all build test race race-shard vet lint docs fuzz fuzz-pool fuzz-schedule bench soak overlay-soak soak-long verify report perf perfcheck perfbench-check determinism pardet examples clean
 
 all: build
 
@@ -107,13 +107,22 @@ examples:
 		timeout 60 "$$bin/$$e" >/dev/null; \
 	done
 
+# perfbench-check vets and tests the benchmark, a separate module
+# under perfbench/ that builds against harness and workload. Its
+# layer-table test fails when a file is added to or removed from a
+# package the table maps file by file, so an API or file-layout change
+# that breaks the benchmark fails here. It writes nothing under
+# perfbench/.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # verify is the PR gate: static checks, the full suite under the race
 # detector, short fuzz passes over the bit-stuffing spec, the pooled
 # parity target and the fault-schedule differential oracle, one pass
 # of the experiment benchmarks, one run of every example, the
-# parallel-determinism matrix and the perf gate against the checked-in
-# baseline.
-verify: vet lint docs race race-shard fuzz fuzz-pool fuzz-schedule bench examples pardet perfcheck
+# parallel-determinism matrix, the benchmark's own vet and tests, and
+# the perf gate against the checked-in baseline.
+verify: vet lint docs race race-shard fuzz fuzz-pool fuzz-schedule bench examples pardet perfbench-check perfcheck
 
 # report regenerates BENCH_metrics.json, the machine-readable run
 # report over E1-E14 (deterministic: same seed, same bytes).

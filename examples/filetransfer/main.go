@@ -13,21 +13,22 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/transport/harness"
+	"repro/internal/transport/sublayered"
 )
 
 func main() {
-	w := harness.New(harness.BackendSim,
-		harness.WithSeed(7),
-		harness.WithHops(5),
-		harness.WithLink(netsim.LinkConfig{
+	w := harness.BuildWorld(harness.WorldConfig{
+		Seed: 7,
+		Hops: 5,
+		Link: netsim.LinkConfig{
 			Delay:       3 * time.Millisecond,
 			Jitter:      time.Millisecond,
 			LossProb:    0.05,
 			ReorderProb: 0.05,
 			DupProb:     0.02,
-		}),
-		harness.WithStacks(harness.KindSublayeredNative, harness.KindSublayeredNative),
-	)
+		},
+		Client: harness.KindSublayeredNative, Server: harness.KindSublayeredNative,
+	})
 	defer w.Close()
 
 	file := make([]byte, 1_000_000)
@@ -44,7 +45,7 @@ func main() {
 		len(res.ServerGot), bytes.Equal(res.ServerGot, file),
 		res.Elapsed.Truncate(time.Millisecond))
 
-	conn := res.ClientConn.(harness.SubConnAccess).Conn()
+	conn := res.ClientConn.(*sublayered.Conn)
 	rd := conn.RD().Stats()
 	osr := conn.OSR().Stats()
 	fmt.Printf("\nper-sublayer accounting at the sender:\n")

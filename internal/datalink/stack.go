@@ -4,7 +4,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/stuffing"
 	"repro/internal/sublayer"
-	"repro/internal/transport"
 )
 
 // StackConfig selects an implementation for each Fig. 2 sublayer.
@@ -40,40 +39,21 @@ func (c StackConfig) withDefaults() StackConfig {
 	return c
 }
 
-// Option configures NewStack beyond the sublayer selection. It is the
-// shared transport option set — datalink no longer grows its own.
-type Option = transport.Option
-
 // NewStack composes a data-link endpoint per Fig. 2, top to bottom:
-// error recovery, error detection, framing, encoding. It accepts the
-// shared transport option set: WithRegistry adopts the stack's
-// instruments under "<name>/datalink", WithMetrics (scope form) adopts
-// them directly, WithTracer attaches a tracer to the backend.
-func NewStack(sim netsim.Backend, name string, cfg StackConfig, opts ...Option) (*sublayer.Stack, error) {
-	o := transport.Collect(opts)
+// error recovery, error detection, framing, encoding. The returned
+// stack's BindMetrics adopts its instruments into a registry scope
+// (conventionally "<name>/datalink").
+func NewStack(sim netsim.Backend, name string, cfg StackConfig) (*sublayer.Stack, error) {
 	cfg = cfg.withDefaults()
 	layers := []sublayer.Sublayer{}
 	if !cfg.NoARQ {
 		layers = append(layers, cfg.ARQ)
 	}
-	st, err := sublayer.New(sim, name, append(layers,
+	return sublayer.New(sim, name, append(layers,
 		NewErrDetect(cfg.Checksum),
 		NewFraming(cfg.Framer),
 		NewEncoding(cfg.Code),
 	)...)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case o.Metrics != nil:
-		st.BindMetrics(o.Metrics)
-	case o.Registry != nil:
-		st.BindMetrics(o.Registry.Scope(name).Sub("datalink"))
-	}
-	if o.Tracer != nil {
-		sim.SetTracer(o.Tracer)
-	}
-	return st, nil
 }
 
 // Connect wires two data-link stacks over a duplex impaired link: each

@@ -11,7 +11,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/stuffing"
 	"repro/internal/sublayer"
-	"repro/internal/transport"
 )
 
 // E1DataLink reproduces Fig. 2: the four-sublayer data-link stack over
@@ -55,8 +54,10 @@ func E1DataLink(cfg Config) *Result {
 	for vi, v := range variants {
 		reg := metrics.New()
 		sim := netsim.NewSimulator(seed, reg)
-		a, _ := datalink.NewStack(sim, "A", v.cfg(), transport.WithRegistry(reg))
-		b, _ := datalink.NewStack(sim, "B", v.cfg(), transport.WithRegistry(reg))
+		a, _ := datalink.NewStack(sim, "A", v.cfg())
+		b, _ := datalink.NewStack(sim, "B", v.cfg())
+		a.BindMetrics(reg.Scope("A").Sub("datalink"))
+		b.BindMetrics(reg.Scope("B").Sub("datalink"))
 		delivered := 0
 		var wireBytes, wirePkts uint64
 		b.SetApp(func(p *sublayer.PDU) { delivered++ })

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/transport/harness"
 	"repro/internal/transport/sublayered"
 )
@@ -30,11 +31,10 @@ func runWorkload(t *testing.T, bytes int) (sublayered.Crossings, uint64, uint64)
 	return crossingsOf(t, res.ClientConn), 0, 0
 }
 
-func crossingsOf(t *testing.T, e harness.Endpoint) sublayered.Crossings {
+func crossingsOf(t *testing.T, e transport.Conn) sublayered.Crossings {
 	t.Helper()
-	type has interface{ CrossingStats() sublayered.Crossings }
-	if h, ok := e.(has); ok {
-		return h.CrossingStats()
+	if c, ok := e.(*sublayered.Conn); ok {
+		return c.CrossingStats()
 	}
 	t.Fatal("endpoint has no crossing stats")
 	return sublayered.Crossings{}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/backends"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/network"
@@ -34,8 +35,6 @@ type ClusterConfig struct {
 	Link netsim.LinkConfig
 	// Kind selects the transport implementation every member runs.
 	Kind Kind
-	// Opts apply to every member's stack (transport.WithCC and friends).
-	Opts []transport.Option
 	// Contracts, when non-nil, is called once per sublayered member and
 	// the returned checker is wired into that member's stack — one
 	// checker per host, so on a sharded engine no checker is ever
@@ -52,7 +51,7 @@ type ClusterConfig struct {
 // engine, the cluster backend otherwise).
 type ClusterHost struct {
 	Addr  network.Addr
-	Stack Transport
+	Stack transport.Stack
 	B     netsim.Backend
 }
 
@@ -97,10 +96,7 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Link == (netsim.LinkConfig{}) {
 		cfg.Link = netsim.LinkConfig{Delay: 2 * time.Millisecond, RateBps: 4_000_000, QueueLimit: 64}
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = transport.Collect(cfg.Opts).Registry
-	}
-	b, err := NewBackend(cfg.Backend, cfg.Seed, cfg.Metrics)
+	b, err := backends.New(cfg.Backend, cfg.Seed, cfg.Metrics)
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
@@ -145,7 +141,7 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 		for i := 1; i <= cfg.Nodes; i++ {
 			addr := network.Addr(i)
 			hb := cl.Topo.Backend(addr)
-			wcfg := WorldConfig{Opts: cfg.Opts}
+			var wcfg WorldConfig
 			if cfg.Kind != KindMonolithic && cfg.Contracts != nil {
 				ck := cfg.Contracts(addr)
 				cl.Checkers[addr] = ck

@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/tcpwire"
-	"repro/internal/transport"
 	"repro/internal/transport/sublayered"
 )
 
@@ -64,13 +63,11 @@ func TestStackTotalsEqualConnectionSums(t *testing.T) {
 	for _, backend := range []string{BackendSim, "sharded:2"} {
 		t.Run(backend, func(t *testing.T) {
 			reg := metrics.New()
-			w := New(backend,
-				WithSeed(9),
-				WithPairs(2),
-				WithLink(lossyLink),
-				WithStacks(KindSublayeredNative, KindSublayeredNative),
-				WithTransport(transport.WithRegistry(reg)),
-			)
+			w := BuildWorld(WorldConfig{
+				Seed: 9, Backend: backend, Pairs: 2, Link: lossyLink,
+				Client: KindSublayeredNative, Server: KindSublayeredNative,
+				Metrics: reg,
+			})
 			defer w.Close()
 
 			// Each host's callbacks run on its own shard, so each host

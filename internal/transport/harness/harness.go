@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/backends"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/network"
@@ -20,42 +21,16 @@ import (
 	"repro/internal/verify"
 )
 
-// Endpoint is the byte-stream surface both TCPs expose — the
-// transport.Conn interface under its historical harness name.
-type Endpoint = transport.Conn
-
-// Transport creates endpoints on one host — the transport.Stack
-// interface under its historical harness name.
-type Transport = transport.Stack
+// Both connection types are transport.Conns themselves; only the
+// stacks need adapters, for Name and the Listen/Dial signatures.
+var (
+	_ transport.Conn  = (*sublayered.Conn)(nil)
+	_ transport.Conn  = (*monolithic.PCB)(nil)
+	_ transport.Stack = (*Sublayered)(nil)
+	_ transport.Stack = (*Monolithic)(nil)
+)
 
 // --- sublayered adapter ---
-
-type subEndpoint struct{ c *sublayered.Conn }
-
-func (e subEndpoint) Write(p []byte) int { return e.c.Write(p) }
-func (e subEndpoint) ReadAll() []byte    { return e.c.ReadAll() }
-func (e subEndpoint) EOF() bool          { return e.c.EOF() }
-func (e subEndpoint) Close()             { e.c.Close() }
-func (e subEndpoint) State() string      { return e.c.State() }
-func (e subEndpoint) Err() error         { return e.c.Err() }
-func (e subEndpoint) LocalPort() uint16  { return e.c.LocalPort() }
-func (e subEndpoint) RemotePort() uint16 { return e.c.RemotePort() }
-func (e subEndpoint) Callbacks(onC, onR, onW func(), onX func(error)) {
-	e.c.OnConnected, e.c.OnReadable, e.c.OnWritable, e.c.OnClosed = onC, onR, onW, onX
-}
-
-// CrossingStats exposes the sublayer boundary counters (E9).
-func (e subEndpoint) CrossingStats() sublayered.Crossings { return e.c.CrossingStats() }
-
-// Conn unwraps the concrete sublayered connection.
-func (e subEndpoint) Conn() *sublayered.Conn { return e.c }
-
-// SubConnAccess is implemented by sublayered endpoints; callers that
-// need sublayer-level stats type-assert to it.
-type SubConnAccess interface{ Conn() *sublayered.Conn }
-
-// MonoConnAccess is implemented by monolithic endpoints.
-type MonoConnAccess interface{ PCB() *monolithic.PCB }
 
 // Sublayered wraps a sublayered stack as a transport.Stack.
 type Sublayered struct {
@@ -63,108 +38,85 @@ type Sublayered struct {
 	label string
 }
 
-// newSublayered attaches a sublayered transport to a router. Trailing
-// transport.Options pass through to the stack constructor. Callers go
-// through the single construction path harness.New (or BuildWorld).
-func newSublayered(sim netsim.Backend, r *network.Router, cfg sublayered.Config, opts ...transport.Option) *Sublayered {
+// newSublayered attaches a sublayered transport to a router. Callers
+// go through the single construction path BuildWorld (or
+// BuildCluster).
+func newSublayered(sim netsim.Backend, r *network.Router, cfg sublayered.Config) *Sublayered {
 	label := "sublayered"
 	if cfg.UseShim {
 		label = "sublayered+shim"
 	}
-	return &Sublayered{Stack: sublayered.NewStack(sim, r, cfg, opts...), label: label}
+	return &Sublayered{Stack: sublayered.NewStack(sim, r, cfg), label: label}
 }
 
-// Name implements Transport.
+// Name implements transport.Stack.
 func (t *Sublayered) Name() string { return t.label }
 
-// Listen implements Transport.
-func (t *Sublayered) Listen(port uint16, onAccept func(Endpoint)) error {
+// Listen implements transport.Stack.
+func (t *Sublayered) Listen(port uint16, onAccept func(transport.Conn)) error {
 	l, err := t.Stack.Listen(port)
 	if err != nil {
 		return err
 	}
-	l.OnAccept = func(c *sublayered.Conn) { onAccept(subEndpoint{c}) }
+	l.OnAccept = func(c *sublayered.Conn) { onAccept(c) }
 	return nil
 }
 
-// Dial implements Transport.
-func (t *Sublayered) Dial(dst network.Addr, port uint16) (Endpoint, error) {
+// Dial implements transport.Stack.
+func (t *Sublayered) Dial(dst network.Addr, port uint16) (transport.Conn, error) {
 	c, err := t.Stack.Dial(dst, port)
 	if err != nil {
 		return nil, err
 	}
-	return subEndpoint{c}, nil
+	return c, nil
 }
 
-// Addr implements Transport.
+// Addr implements transport.Stack.
 func (t *Sublayered) Addr() network.Addr { return t.Stack.Addr() }
 
-// Close implements Transport.
+// Close implements transport.Stack.
 func (t *Sublayered) Close() error { return t.Stack.Close() }
-
-// BindMetrics implements Transport.
-func (t *Sublayered) BindMetrics(sc *metrics.Scope) { t.Stack.BindMetrics(sc) }
 
 // --- monolithic adapter ---
 
-type monoEndpoint struct{ p *monolithic.PCB }
-
-func (e monoEndpoint) Write(p []byte) int { return e.p.Write(p) }
-func (e monoEndpoint) ReadAll() []byte    { return e.p.ReadAll() }
-func (e monoEndpoint) EOF() bool          { return e.p.EOF() }
-func (e monoEndpoint) Close()             { e.p.Close() }
-func (e monoEndpoint) State() string      { return e.p.State() }
-func (e monoEndpoint) Err() error         { return e.p.Err() }
-func (e monoEndpoint) LocalPort() uint16  { return e.p.LocalPort() }
-func (e monoEndpoint) RemotePort() uint16 { return e.p.RemotePort() }
-func (e monoEndpoint) Callbacks(onC, onR, onW func(), onX func(error)) {
-	e.p.OnConnected, e.p.OnReadable, e.p.OnWritable, e.p.OnClosed = onC, onR, onW, onX
-}
-
-// PCB unwraps the concrete monolithic connection.
-func (e monoEndpoint) PCB() *monolithic.PCB { return e.p }
-
-// Monolithic wraps a monolithic stack as a Transport.
+// Monolithic wraps a monolithic stack as a transport.Stack.
 type Monolithic struct {
 	Stack *monolithic.Stack
 }
 
 // newMonolithic attaches a monolithic transport to a router, like
 // newSublayered.
-func newMonolithic(sim netsim.Backend, r *network.Router, cfg monolithic.Config, opts ...transport.Option) *Monolithic {
-	return &Monolithic{Stack: monolithic.NewStack(sim, r, cfg, opts...)}
+func newMonolithic(sim netsim.Backend, r *network.Router, cfg monolithic.Config) *Monolithic {
+	return &Monolithic{Stack: monolithic.NewStack(sim, r, cfg)}
 }
 
-// Name implements Transport.
+// Name implements transport.Stack.
 func (t *Monolithic) Name() string { return "monolithic" }
 
-// Listen implements Transport.
-func (t *Monolithic) Listen(port uint16, onAccept func(Endpoint)) error {
+// Listen implements transport.Stack.
+func (t *Monolithic) Listen(port uint16, onAccept func(transport.Conn)) error {
 	l, err := t.Stack.Listen(port)
 	if err != nil {
 		return err
 	}
-	l.OnAccept = func(p *monolithic.PCB) { onAccept(monoEndpoint{p}) }
+	l.OnAccept = func(p *monolithic.PCB) { onAccept(p) }
 	return nil
 }
 
-// Dial implements Transport.
-func (t *Monolithic) Dial(dst network.Addr, port uint16) (Endpoint, error) {
+// Dial implements transport.Stack.
+func (t *Monolithic) Dial(dst network.Addr, port uint16) (transport.Conn, error) {
 	p, err := t.Stack.Dial(dst, port)
 	if err != nil {
 		return nil, err
 	}
-	return monoEndpoint{p}, nil
+	return p, nil
 }
 
-// Addr implements Transport.
+// Addr implements transport.Stack.
 func (t *Monolithic) Addr() network.Addr { return t.Stack.Addr() }
 
-// Close implements Transport.
+// Close implements transport.Stack.
 func (t *Monolithic) Close() error { return t.Stack.Close() }
-
-// BindMetrics implements Transport.
-func (t *Monolithic) BindMetrics(sc *metrics.Scope) { t.Stack.BindMetrics(sc) }
 
 // --- world construction ---
 
@@ -201,8 +153,8 @@ type World struct {
 	// interface.
 	Sim    netsim.Backend
 	Topo   *network.Topology
-	Client Transport
-	Server Transport
+	Client transport.Stack
+	Server transport.Stack
 	// ClientB and ServerB are the end hosts' node backends: on a
 	// sharded engine the per-node shard views, otherwise Sim. Driver
 	// code reading a host's clock (flow completion stamps) must use the
@@ -221,7 +173,7 @@ type World struct {
 // End is one client/server pair: transports, their node backends and
 // addresses.
 type End struct {
-	Client, Server         Transport
+	Client, Server         transport.Stack
 	ClientB, ServerB       netsim.Backend
 	ClientAddr, ServerAddr network.Addr
 }
@@ -256,12 +208,12 @@ type WorldConfig struct {
 	Client  Kind
 	Server  Kind
 	Tracker *verify.Tracker // attached to both transports (E6)
+	// SubCfg and MonoCfg configure the end hosts' stacks by Kind.
+	// BuildWorld sets their Metrics and Tracker per host from the
+	// fields of the same name here; values set inside them are
+	// ignored.
 	SubCfg  sublayered.Config
 	MonoCfg monolithic.Config
-	// Opts apply to both end hosts' stacks regardless of Kind — the
-	// shared construction surface (transport.WithCC and friends).
-	// transport.WithRegistry here is equivalent to setting Metrics.
-	Opts []transport.Option
 	// Metrics, when non-nil, adopts every instrument in the world: the
 	// backend and links under "netsim/...", each router under
 	// "n<addr>/network/..." and each end host's transport under
@@ -278,10 +230,7 @@ func BuildWorld(cfg WorldConfig) *World {
 	if cfg.Hops < 2 {
 		cfg.Hops = 4
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = transport.Collect(cfg.Opts).Registry
-	}
-	b, err := NewBackend(cfg.Backend, cfg.Seed, cfg.Metrics)
+	b, err := backends.New(cfg.Backend, cfg.Seed, cfg.Metrics)
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
@@ -387,24 +336,24 @@ func hostScope(reg *metrics.Registry, addr int) *metrics.Scope {
 	return reg.Scope(fmt.Sprintf("n%d", addr)).Sub("transport")
 }
 
-func buildTransport(k Kind, sim netsim.Backend, r *network.Router, cfg WorldConfig, msc *metrics.Scope, tracker *verify.Tracker) Transport {
+func buildTransport(k Kind, sim netsim.Backend, r *network.Router, cfg WorldConfig, msc *metrics.Scope, tracker *verify.Tracker) transport.Stack {
 	switch k {
 	case KindMonolithic:
 		mc := cfg.MonoCfg
 		mc.Tracker = tracker
 		mc.Metrics = msc
-		return newMonolithic(sim, r, mc, cfg.Opts...)
+		return newMonolithic(sim, r, mc)
 	case KindSublayeredShim:
 		sc := cfg.SubCfg
 		sc.UseShim = true
 		sc.Tracker = tracker
 		sc.Metrics = msc
-		return newSublayered(sim, r, sc, cfg.Opts...)
+		return newSublayered(sim, r, sc)
 	default:
 		sc := cfg.SubCfg
 		sc.Tracker = tracker
 		sc.Metrics = msc
-		return newSublayered(sim, r, sc, cfg.Opts...)
+		return newSublayered(sim, r, sc)
 	}
 }
 
@@ -428,8 +377,8 @@ type TransferResult struct {
 	ServerGot, ClientGot []byte
 	ServerEOF, ClientEOF bool
 	ClientErr, ServerErr error
-	ClientConn           Endpoint
-	ServerConn           Endpoint
+	ClientConn           transport.Conn
+	ServerConn           transport.Conn
 	Elapsed              time.Duration // virtual time from dial to both EOFs
 }
 
@@ -464,7 +413,7 @@ func RunTransfer(w *World, c2s, s2c []byte, budget time.Duration) (*TransferResu
 				finish[i] = b.Now()
 			}
 		}
-		if err := w.Server.Listen(80, func(sc Endpoint) {
+		if err := w.Server.Listen(80, func(sc transport.Conn) {
 			res.ServerConn = sc
 			toSend := s2c
 			push := func() {

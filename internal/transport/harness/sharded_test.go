@@ -35,12 +35,10 @@ func TestCrossShardDifferential(t *testing.T) {
 		snaps := map[string][]byte{}
 		for _, backend := range shardedBackends {
 			reg := metrics.New()
-			w := New(backend,
-				WithSeed(5),
-				WithLink(lossyLink),
-				WithStacks(kind, kind),
-				WithTransport(transport.WithRegistry(reg)),
-			)
+			w := BuildWorld(WorldConfig{
+				Seed: 5, Backend: backend, Link: lossyLink,
+				Client: kind, Server: kind, Metrics: reg,
+			})
 			res, err := RunTransfer(w, c2s, s2c, time.Hour)
 			w.Close()
 			if err != nil {
@@ -117,12 +115,10 @@ func TestShardedMultiPairWorld(t *testing.T) {
 	const pairs = 4
 	payload := []byte("multi-pair payload")
 	for _, backend := range []string{BackendSim, "sharded:4"} {
-		w := New(backend,
-			WithSeed(11),
-			WithLink(netsim.LinkConfig{Delay: time.Millisecond}),
-			WithHops(2),
-			WithPairs(pairs),
-		)
+		w := BuildWorld(WorldConfig{
+			Seed: 11, Backend: backend, Link: netsim.LinkConfig{Delay: time.Millisecond},
+			Hops: 2, Pairs: pairs,
+		})
 		if len(w.Ends) != pairs {
 			t.Fatalf("%s: %d ends, want %d", backend, len(w.Ends), pairs)
 		}
@@ -130,7 +126,7 @@ func TestShardedMultiPairWorld(t *testing.T) {
 		w.Exec(func() {
 			for p, end := range w.Ends {
 				p := p
-				if err := end.Server.Listen(80, func(sc Endpoint) {
+				if err := end.Server.Listen(80, func(sc transport.Conn) {
 					sc.Callbacks(nil, func() {
 						got[p] = append(got[p], sc.ReadAll()...)
 					}, nil, nil)

@@ -26,7 +26,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/network"
 	"repro/internal/tcpwire"
-	"repro/internal/transport"
 	"repro/internal/transport/seg"
 	"repro/internal/verify"
 )
@@ -190,20 +189,9 @@ type Listener struct {
 func (l *Listener) Accepted() []*PCB { return l.accepted }
 
 // NewStack attaches a monolithic TCP to a router (claims ProtoTCP).
-// Trailing transport.Options (WithCC, WithMetrics, WithTracer) override
-// the corresponding Config fields — the construction surface shared
-// with the sublayered stack.
-func NewStack(sim netsim.Backend, router *network.Router, cfg Config, opts ...transport.Option) *Stack {
-	o := transport.Collect(opts)
-	if o.CC != "" {
-		cfg.CC = o.CC
-	}
-	if o.Metrics != nil {
-		cfg.Metrics = o.Metrics
-	}
-	if o.Tracer != nil {
-		sim.SetTracer(o.Tracer)
-	}
+// With cfg.Metrics set, the stack's instruments live under that scope
+// as "tcp/...".
+func NewStack(sim netsim.Backend, router *network.Router, cfg Config) *Stack {
 	s := &Stack{
 		sim:       sim,
 		router:    router,
@@ -216,19 +204,10 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config, opts ...tr
 	}
 	s.m.rttMs = metrics.NewHistogram(rttBoundsMs...)
 	router.Handle(network.ProtoTCP, s.tcpInput)
-	s.BindMetrics(cfg.Metrics)
-	return s
-}
-
-// BindMetrics adopts the stack's instruments under sc as "tcp/...".
-// Equivalent to constructing with Config.Metrics; call at most once
-// with a non-nil scope. A nil scope is a no-op.
-func (s *Stack) BindMetrics(sc *metrics.Scope) {
-	if sc == nil {
-		return
+	if cfg.Metrics != nil {
+		s.m.bind(cfg.Metrics.Sub("tcp"))
 	}
-	s.cfg.Metrics = sc
-	s.m.bind(sc.Sub("tcp"))
+	return s
 }
 
 // Close aborts every open PCB (RST to the peer, ErrReset locally) and
@@ -334,6 +313,12 @@ func (p *PCB) LocalPort() uint16 { return p.id.localPort }
 
 // RemotePort returns the remote port.
 func (p *PCB) RemotePort() uint16 { return p.id.remotePort }
+
+// Callbacks sets the four application callbacks at once
+// (transport.Conn).
+func (p *PCB) Callbacks(onConnected, onReadable, onWritable func(), onClosed func(error)) {
+	p.OnConnected, p.OnReadable, p.OnWritable, p.OnClosed = onConnected, onReadable, onWritable, onClosed
+}
 
 // flow packs this PCB's 4-tuple into the TraceEvent.Flow correlator.
 func (p *PCB) flow() uint64 {

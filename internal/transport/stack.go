@@ -1,19 +1,16 @@
 // Package transport defines the uniform surface both TCP
 // implementations expose: Stack (one host's transport: Listen, Dial,
-// Close, metrics-scope attachment) and Conn (one connection's byte
-// stream). The sublayered stack (internal/transport/sublayered, native
-// Fig. 6 wire format or behind the §3.1 shim) and the monolithic
-// baseline (internal/transport/monolithic) both implement it through
-// the thin adapters in internal/transport/harness, so the experiments,
-// the interop matrix and the many-flow workload engine
-// (internal/workload) drive either implementation — or both at once —
-// with the same code instead of duplicating per-stack construction.
+// Close) and Conn (one connection's byte stream). The sublayered
+// connection (*sublayered.Conn, native Fig. 6 wire format or behind
+// the §3.1 shim) and the monolithic one (*monolithic.PCB) are Conns
+// themselves; their stacks implement Stack through the thin adapters
+// in internal/transport/harness, so the experiments, the interop
+// matrix and the many-flow workload engine (internal/workload) drive
+// either implementation — or both at once — with the same code
+// instead of duplicating per-stack construction.
 package transport
 
-import (
-	"repro/internal/metrics"
-	"repro/internal/network"
-)
+import "repro/internal/network"
 
 // Conn is the byte-stream surface of one connection, implemented by
 // both TCPs. All methods run inside simulator events.
@@ -53,9 +50,4 @@ type Stack interface {
 	Dial(dst network.Addr, port uint16) (Conn, error)
 	// Close aborts every open connection and releases every listener.
 	Close() error
-	// BindMetrics adopts the stack's instruments under sc. Call it at
-	// most once with a non-nil scope, before any connection exists
-	// (later connections register under the same scope). A nil scope
-	// is a no-op.
-	BindMetrics(sc *metrics.Scope)
 }

@@ -45,7 +45,7 @@ const (
 const maxFrame = 16 * 1024
 
 // Transport is the byte-stream service below the mux — satisfied by
-// both TCPs' endpoints (and by harness.Endpoint).
+// any transport.Conn (*sublayered.Conn, *monolithic.PCB).
 type Transport interface {
 	Write(p []byte) int
 	ReadAll() []byte

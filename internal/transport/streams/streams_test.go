@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/transport/harness"
 )
 
@@ -211,7 +212,7 @@ func TestMuxOverRealTransport(t *testing.T) {
 	got := map[uint32][]byte{}
 
 	var serverMux *Mux
-	if err := w.Server.Listen(80, func(e harness.Endpoint) {
+	if err := w.Server.Listen(80, func(e transport.Conn) {
 		serverMux = NewMux(e, false)
 		serverMux.OnStream = func(s *Stream) {
 			s.OnReadable = func() { got[s.ID()] = append(got[s.ID()], s.ReadAll()...) }

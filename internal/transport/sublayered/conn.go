@@ -56,6 +56,12 @@ func (c *Conn) LocalPort() uint16 { return c.key.SrcPort }
 // RemotePort returns the connection's remote port.
 func (c *Conn) RemotePort() uint16 { return c.key.DstPort }
 
+// Callbacks sets the four application callbacks at once
+// (transport.Conn).
+func (c *Conn) Callbacks(onConnected, onReadable, onWritable func(), onClosed func(error)) {
+	c.OnConnected, c.OnReadable, c.OnWritable, c.OnClosed = onConnected, onReadable, onWritable, onClosed
+}
+
 // State reports the connection-management state ("ESTABLISHED", ...).
 func (c *Conn) State() string { return c.cm.state().String() }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/network"
 	"repro/internal/tcpwire"
-	"repro/internal/transport"
 	"repro/internal/transport/seg"
 	"repro/internal/verify"
 )
@@ -62,7 +61,7 @@ type Config struct {
 	// Metrics, when non-nil, adopts the stack's instruments under this
 	// scope: "dm/..." for the demultiplexer and, once the first
 	// connection exists, "<sublayer>/..." totals over all connections
-	// (see Stack.BindMetrics). A nil scope costs nothing (instruments
+	// (see NewStack). A nil scope costs nothing (instruments
 	// stay detached).
 	Metrics *metrics.Scope
 }
@@ -183,21 +182,16 @@ type Stack struct {
 
 // NewStack attaches a sublayered transport to a router. In shim mode
 // it claims the router's ProtoTCP handler; in native mode ProtoSubTCP.
-// Trailing transport.Options (WithCC, WithMetrics, WithTracer) override
-// the corresponding Config fields — the construction surface shared
-// with the monolithic stack.
-func NewStack(sim netsim.Backend, router *network.Router, cfg Config, opts ...transport.Option) *Stack {
-	o := transport.Collect(opts)
-	if o.CC != "" {
-		cfg.CC = o.CC
-		cfg.NewCC = nil
-	}
-	if o.Metrics != nil {
-		cfg.Metrics = o.Metrics
-	}
-	if o.Tracer != nil {
-		sim.SetTracer(o.Tracer)
-	}
+//
+// With cfg.Metrics set, the stack's instruments live under that scope:
+// "dm/..." and "shim/..." at once and, when the first connection is
+// created, one series per connection counter,
+// "{crossings,rd,osr,cm}/<name>", holding the sum over every
+// connection the stack has had, plus the stack's "rd/rtt_ms"
+// histogram. The series count is bounded by the topology, not by the
+// number of connections; per-connection values stay on the connection
+// (RD.Stats, OSR.Stats, HandshakeCM.Stats, Conn.CrossingStats).
+func NewStack(sim netsim.Backend, router *network.Router, cfg Config) *Stack {
 	s := &Stack{sim: sim, router: router, cfg: cfg.withDefaults(),
 		rttMs:     metrics.NewHistogram(rttBoundsMs...),
 		traceName: router.Addr().String() + "/sub"}
@@ -215,29 +209,13 @@ func NewStack(sim netsim.Backend, router *network.Router, cfg Config, opts ...tr
 	} else {
 		router.Handle(network.ProtoSubTCP, s.dm.receive)
 	}
-	s.BindMetrics(s.cfg.Metrics)
+	if sc := s.cfg.Metrics; sc != nil {
+		s.dm.m.bind(sc.Sub("dm"))
+		if s.shim != nil {
+			s.shim.BindMetrics(sc.Sub("shim"))
+		}
+	}
 	return s
-}
-
-// BindMetrics adopts the stack's instruments under sc: "dm/..." and
-// "shim/..." at once and, when the first connection is created, one
-// series per connection counter, "{crossings,rd,osr,cm}/<name>",
-// holding the sum over every connection the stack has had, plus the
-// stack's "rd/rtt_ms" histogram. The series count is bounded by the
-// topology, not by the number of connections; per-connection values
-// stay on the connection (RD.Stats, OSR.Stats, HandshakeCM.Stats,
-// Conn.CrossingStats). Equivalent to constructing with Config.Metrics;
-// call at most once with a non-nil scope, before any connection
-// exists.
-func (s *Stack) BindMetrics(sc *metrics.Scope) {
-	if sc == nil {
-		return
-	}
-	s.cfg.Metrics = sc
-	s.dm.m.bind(sc.Sub("dm"))
-	if s.shim != nil {
-		s.shim.BindMetrics(sc.Sub("shim"))
-	}
 }
 
 // Close aborts every open connection (RST to the peer, ErrReset

@@ -168,7 +168,7 @@ func TestPerfReportDeterministic(t *testing.T) {
 }
 
 // TestBakeoffSwapsControllers pins the engine-level CC axis: Config.CC
-// threads through transport.WithCC on both stacks, the fault script
+// reaches both stacks' Config.CC, the fault script
 // runs (bursty regime records GE transitions in the snapshot), and
 // every cell completes all flows intact.
 func TestBakeoffSwapsControllers(t *testing.T) {
